@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "support/check.h"
 
@@ -12,34 +11,141 @@ namespace {
 
 std::atomic<bool> g_probes_enabled{true};
 
+// Reset epochs. Every Unit construction and every Unit::Reset draws a fresh
+// value from this one counter, so no epoch is issued twice in a process: a
+// per-thread table stamped by a destroyed Unit, or before a Reset, never
+// matches the Unit that now owns its slot.
+std::atomic<std::uint64_t> g_next_epoch{1};
 
-// Per-thread condition accumulation: (unit, decision) -> bitmask of
-// condition values recorded since the decision was last committed.
-struct PendingKey {
-  const Unit* unit;
-  int decision;
-  bool operator==(const PendingKey& o) const {
-    return unit == o.unit && decision == o.decision;
-  }
+std::uint64_t NextEpoch() {
+  return g_next_epoch.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Slot owners, by birth epoch (0 = free). A destroyed Unit's slot goes to
+// the next Unit built, so the per-thread tables stay bounded by the most
+// Units alive at once, not by every Unit ever built.
+struct SlotOwners {
+  std::mutex mu;
+  std::vector<std::uint64_t> birth;
 };
-struct PendingKeyHash {
-  std::size_t operator()(const PendingKey& k) const {
-    return std::hash<const void*>()(k.unit) ^
-           (std::hash<int>()(k.decision) * 1000003u);
+
+SlotOwners& Slots() {
+  static SlotOwners* slots = new SlotOwners();
+  return *slots;
+}
+
+int AcquireSlot(std::uint64_t birth) {
+  SlotOwners& slots = Slots();
+  std::lock_guard<std::mutex> lock(slots.mu);
+  auto it = std::find(slots.birth.begin(), slots.birth.end(), 0u);
+  if (it == slots.birth.end()) {
+    it = slots.birth.insert(it, birth);
+  } else {
+    *it = birth;
   }
+  return static_cast<int>(it - slots.birth.begin());
+}
+
+// Per-thread marks on one fact (a statement, or a (mask, outcome) vector,
+// which carries its decision outcome). kPublished: the Unit has it since
+// the table's epoch. kCaptured: the live ThreadCapture has it.
+enum : std::uint8_t { kPublished = 1, kCaptured = 2 };
+
+struct VectorMark {
+  std::uint64_t mask;
+  bool outcome;
+  std::uint8_t marks;
 };
 
-// Pending condition masks, keyed by (unit, decision). Entries are zeroed on
-// Dec, NOT erased: erase + re-insert cost one heap node per decision
-// evaluation, which put an allocation inside every probed hot loop (the
-// steady-state tick discipline forbids that, and the tickperf test counts
-// it). The map plateaus at one node per (unit, decision) a thread ever
-// evaluates — bounded by the declared probe set.
-thread_local std::unordered_map<PendingKey, std::uint64_t, PendingKeyHash>
-    t_pending;
+struct ThreadDecision {
+  std::uint64_t pending = 0;  // condition bits recorded since the last Dec
+  // Distinct vectors this thread has evaluated: a handful per decision, so
+  // a linear scan beats hashing.
+  std::vector<VectorMark> vectors;
+};
 
-// The calling thread's active probe capture (nullptr when none).
-thread_local ThreadCapture* t_capture = nullptr;
+// One thread's view of one Unit slot, sized to the Unit's declarations.
+struct SlotTable {
+  const Unit* unit = nullptr;
+  std::uint64_t birth = 0;    // owner identity; 0 = never used
+  std::uint64_t epoch = 0;    // Unit epoch the kPublished marks refer to
+  std::uint64_t capture = 0;  // capture generation of the kCaptured marks
+  std::vector<std::uint8_t> stmts;
+  std::vector<ThreadDecision> decisions;
+};
+
+struct ThreadState {
+  std::vector<SlotTable> slots;  // by Unit slot
+  ThreadCapture* capture = nullptr;
+  // Bumped whenever a capture starts, takes or ends, which invalidates
+  // every slot's kCaptured marks.
+  std::uint64_t capture_generation = 1;
+  std::vector<int> captured_slots;  // slots resynced under the live capture
+};
+
+thread_local ThreadState t_state;
+
+// The marks a probe must find on a fact to skip it.
+std::uint8_t Wanted() {
+  return t_state.capture == nullptr ? kPublished : kPublished | kCaptured;
+}
+
+void ClearMarks(SlotTable* t, std::uint8_t mark) {
+  for (std::uint8_t& m : t->stmts) m &= static_cast<std::uint8_t>(~mark);
+  for (ThreadDecision& d : t->decisions) {
+    for (VectorMark& v : d.vectors) {
+      v.marks &= static_cast<std::uint8_t>(~mark);
+    }
+  }
+}
+
+void NewCaptureGeneration(ThreadState* s) {
+  ++s->capture_generation;
+  s->captured_slots.clear();
+}
+
+// The calling thread's table for `unit`, with marks valid for `epoch` and
+// the current capture generation.
+SlotTable& Local(const Unit* unit, int slot, std::uint64_t birth,
+                 std::uint64_t epoch) {
+  ThreadState& s = t_state;
+  const auto index = static_cast<std::size_t>(slot);
+  if (index >= s.slots.size()) s.slots.resize(index + 1);
+  SlotTable& t = s.slots[index];
+  if (t.epoch == epoch && t.capture == s.capture_generation) return t;
+  if (t.birth != birth) {
+    // First use of the slot, or its previous Unit was destroyed.
+    t.unit = unit;
+    t.birth = birth;
+    t.stmts.clear();
+    t.decisions.clear();
+    t.capture = 0;
+  } else if (t.epoch != epoch) {
+    ClearMarks(&t, kPublished);  // the Unit was Reset
+  }
+  t.epoch = epoch;
+  if (t.capture != s.capture_generation) {
+    ClearMarks(&t, kCaptured);
+    t.capture = s.capture_generation;
+    if (s.capture != nullptr) s.captured_slots.push_back(slot);
+  }
+  return t;
+}
+
+ThreadDecision& DecisionOf(SlotTable* t, int decision_id,
+                           std::size_t declared) {
+  const auto index = static_cast<std::size_t>(decision_id);
+  if (index >= t->decisions.size()) t->decisions.resize(declared);
+  return t->decisions[index];
+}
+
+// Test-before-set: a hit flag is written once, then only read, so the
+// probes on every pipeline stage share its cache line without bouncing it.
+void MarkHit(std::atomic<bool>* hit) {
+  if (!hit->load(std::memory_order_relaxed)) {
+    hit->store(true, std::memory_order_relaxed);
+  }
+}
 
 }  // namespace
 
@@ -99,30 +205,30 @@ bool ProbesEnabled() {
   return g_probes_enabled.load(std::memory_order_relaxed);
 }
 
-Unit::Unit(std::string name) : name_(std::move(name)) {}
+Unit::Unit(std::string name)
+    : name_(std::move(name)),
+      birth_(NextEpoch()),
+      slot_(AcquireSlot(birth_)),
+      epoch_(birth_) {}
+
+Unit::~Unit() {
+  SlotOwners& slots = Slots();
+  std::lock_guard<std::mutex> lock(slots.mu);
+  slots.birth[static_cast<std::size_t>(slot_)] = 0;
+}
 
 void Unit::DeclareStatements(int n) {
   CERTKIT_CHECK(n >= 0);
   std::lock_guard<std::mutex> lock(mu_);
-  if (n > declared_statements_) {
-    // atomics are not movable; rebuild preserving hits.
-    std::vector<std::atomic<std::uint64_t>> grown(
-        static_cast<std::size_t>(n));
-    for (int i = 0; i < declared_statements_; ++i) {
-      grown[static_cast<std::size_t>(i)].store(
-          stmt_hits_[static_cast<std::size_t>(i)].load(
-              std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    stmt_hits_ = std::move(grown);
-    declared_statements_ = n;
+  if (static_cast<std::size_t>(n) > stmt_hits_.size()) {
+    stmt_hits_.resize(static_cast<std::size_t>(n), 0);
   }
 }
 
 int Unit::DeclareDecision(int num_conditions) {
   CERTKIT_CHECK(num_conditions >= 1 && num_conditions <= 64);
   std::lock_guard<std::mutex> lock(mu_);
-  DecisionRecord rec;
+  DecisionCover rec;
   rec.num_conditions = num_conditions;
   decisions_.push_back(std::move(rec));
   return static_cast<int>(decisions_.size()) - 1;
@@ -130,12 +236,21 @@ int Unit::DeclareDecision(int num_conditions) {
 
 void Unit::Stmt(int id) {
   if (!ProbesEnabled()) return;
-  CERTKIT_CHECK_MSG(id >= 0 && id < declared_statements_,
+  CERTKIT_CHECK_MSG(id >= 0 && id < static_cast<int>(stmt_hits_.size()),
                     "statement probe " << id << " out of range in unit "
                                        << name_);
-  stmt_hits_[static_cast<std::size_t>(id)].fetch_add(
-      1, std::memory_order_relaxed);
-  if (t_capture != nullptr) t_capture->captured_[this].stmts.insert(id);
+  SlotTable& t =
+      Local(this, slot_, birth_, epoch_.load(std::memory_order_acquire));
+  const auto index = static_cast<std::size_t>(id);
+  if (index >= t.stmts.size()) t.stmts.resize(stmt_hits_.size(), 0);
+  std::uint8_t& marks = t.stmts[index];
+  const std::uint8_t want = Wanted();
+  if ((marks & want) == want) return;
+  if ((marks & kPublished) == 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stmt_hits_[index] = 1;
+  }
+  marks |= want;
 }
 
 bool Unit::Cond(int decision_id, int index, bool value) {
@@ -143,7 +258,10 @@ bool Unit::Cond(int decision_id, int index, bool value) {
   CERTKIT_CHECK(decision_id >= 0 &&
                 decision_id < static_cast<int>(decisions_.size()));
   CERTKIT_CHECK(index >= 0 && index < 64);
-  auto& mask = t_pending[PendingKey{this, decision_id}];
+  SlotTable& t =
+      Local(this, slot_, birth_, epoch_.load(std::memory_order_acquire));
+  std::uint64_t& mask =
+      DecisionOf(&t, decision_id, decisions_.size()).pending;
   if (value) {
     mask |= (1ULL << index);
   } else {
@@ -156,34 +274,31 @@ bool Unit::Dec(int decision_id, bool outcome) {
   if (!ProbesEnabled()) return outcome;
   CERTKIT_CHECK(decision_id >= 0 &&
                 decision_id < static_cast<int>(decisions_.size()));
-  std::uint64_t mask = 0;
-  auto it = t_pending.find(PendingKey{this, decision_id});
-  if (it != t_pending.end()) {
-    mask = it->second;
-    it->second = 0;  // keep the node: see t_pending's comment
+  SlotTable& t =
+      Local(this, slot_, birth_, epoch_.load(std::memory_order_acquire));
+  ThreadDecision& dec = DecisionOf(&t, decision_id, decisions_.size());
+  const std::uint64_t mask = dec.pending;
+  dec.pending = 0;
+  auto it = std::find_if(dec.vectors.begin(), dec.vectors.end(),
+                         [&](const VectorMark& v) {
+                           return v.mask == mask && v.outcome == outcome;
+                         });
+  if (it == dec.vectors.end()) {
+    it = dec.vectors.insert(it, VectorMark{mask, outcome, 0});
   }
-  int num_conditions = 0;
-  {
+  const std::uint8_t want = Wanted();
+  if ((it->marks & want) == want) return outcome;
+  if ((it->marks & kPublished) == 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    DecisionRecord& rec = decisions_[static_cast<std::size_t>(decision_id)];
+    DecisionCover& rec = decisions_[static_cast<std::size_t>(decision_id)];
     if (outcome) {
       rec.seen_true = true;
     } else {
       rec.seen_false = true;
     }
     rec.vectors.insert({mask, outcome});
-    num_conditions = rec.num_conditions;
   }
-  if (t_capture != nullptr) {
-    DecisionCover& dec = t_capture->captured_[this].decisions[decision_id];
-    dec.num_conditions = num_conditions;
-    if (outcome) {
-      dec.seen_true = true;
-    } else {
-      dec.seen_false = true;
-    }
-    dec.vectors.insert({mask, outcome});
-  }
+  it->marks |= want;
   return outcome;
 }
 
@@ -194,29 +309,26 @@ bool Unit::Branch(int decision_id, bool outcome) {
 
 int Unit::DeclareFunctionProbe(std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
-  functions_.push_back(NamedProbe{std::move(name), false});
+  functions_.emplace_back(std::move(name));
   return static_cast<int>(functions_.size()) - 1;
 }
 
 void Unit::EnterFunction(int id) {
   if (!ProbesEnabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
   CERTKIT_CHECK(id >= 0 && id < static_cast<int>(functions_.size()));
-  functions_[static_cast<std::size_t>(id)].hit = true;
+  MarkHit(&functions_[static_cast<std::size_t>(id)].hit);
 }
 
 int Unit::DeclareCallProbe(std::string caller, std::string callee) {
   std::lock_guard<std::mutex> lock(mu_);
-  calls_.push_back(
-      NamedProbe{std::move(caller) + " -> " + std::move(callee), false});
+  calls_.emplace_back(std::move(caller) + " -> " + std::move(callee));
   return static_cast<int>(calls_.size()) - 1;
 }
 
 void Unit::CallSite(int id) {
   if (!ProbesEnabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
   CERTKIT_CHECK(id >= 0 && id < static_cast<int>(calls_.size()));
-  calls_[static_cast<std::size_t>(id)].hit = true;
+  MarkHit(&calls_[static_cast<std::size_t>(id)].hit);
 }
 
 double Unit::FunctionCoverage() const {
@@ -250,26 +362,18 @@ std::vector<std::string> Unit::UncoveredFunctions() const {
 
 std::int64_t Unit::statements_total() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return declared_statements_;
+  return static_cast<std::int64_t>(stmt_hits_.size());
 }
 
 std::int64_t Unit::statements_hit() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::int64_t n = 0;
-  for (const auto& h : stmt_hits_) {
-    if (h.load(std::memory_order_relaxed) > 0) ++n;
-  }
-  return n;
+  return std::count(stmt_hits_.begin(), stmt_hits_.end(), 1);
 }
 
 double Unit::StatementCoverage() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (declared_statements_ == 0) return 1.0;
-  std::int64_t n = 0;
-  for (const auto& h : stmt_hits_) {
-    if (h.load(std::memory_order_relaxed) > 0) ++n;
-  }
-  return static_cast<double>(n) / declared_statements_;
+  const std::int64_t total = statements_total();
+  if (total == 0) return 1.0;
+  return static_cast<double>(statements_hit()) / static_cast<double>(total);
 }
 
 double Unit::BranchCoverage() const {
@@ -315,20 +419,13 @@ int Unit::decision_conditions(int decision_id) const {
 UnitCover Unit::TakeCover() const {
   UnitCover cover;
   std::lock_guard<std::mutex> lock(mu_);
-  for (int i = 0; i < declared_statements_; ++i) {
-    if (stmt_hits_[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed) > 0) {
-      cover.stmts.insert(i);
-    }
+  for (std::size_t i = 0; i < stmt_hits_.size(); ++i) {
+    if (stmt_hits_[i] != 0) cover.stmts.insert(static_cast<int>(i));
   }
-  for (int i = 0; i < static_cast<int>(decisions_.size()); ++i) {
-    const DecisionRecord& rec = decisions_[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < decisions_.size(); ++i) {
+    const DecisionCover& rec = decisions_[i];
     if (!rec.seen_true && !rec.seen_false && rec.vectors.empty()) continue;
-    DecisionCover& dec = cover.decisions[i];
-    dec.num_conditions = rec.num_conditions;
-    dec.seen_true = rec.seen_true;
-    dec.seen_false = rec.seen_false;
-    dec.vectors = rec.vectors;
+    cover.decisions[static_cast<int>(i)] = rec;
   }
   return cover;
 }
@@ -342,13 +439,16 @@ double Unit::McdcCoverage() const {
 
 void Unit::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& h : stmt_hits_) h.store(0, std::memory_order_relaxed);
+  std::fill(stmt_hits_.begin(), stmt_hits_.end(), 0);
   for (auto& d : decisions_) {
     d.seen_true = d.seen_false = false;
     d.vectors.clear();
   }
-  for (auto& f : functions_) f.hit = false;
-  for (auto& c : calls_) c.hit = false;
+  for (auto& f : functions_) f.hit.store(false, std::memory_order_relaxed);
+  for (auto& c : calls_) c.hit.store(false, std::memory_order_relaxed);
+  // Released after the clears: a thread that sees the new epoch publishes
+  // into the cleared state.
+  epoch_.store(NextEpoch(), std::memory_order_release);
 }
 
 Registry& Registry::Instance() {
@@ -438,23 +538,63 @@ CoverageRow CoverRow(const Unit& unit, const UnitCover& cover) {
 }
 
 ThreadCapture::ThreadCapture() {
-  CERTKIT_CHECK_MSG(t_capture == nullptr,
+  ThreadState& s = t_state;
+  CERTKIT_CHECK_MSG(s.capture == nullptr,
                     "nested ThreadCapture on the same thread");
-  t_capture = this;
+  s.capture = this;
+  NewCaptureGeneration(&s);
 }
 
 ThreadCapture::~ThreadCapture() {
-  if (t_capture == this) t_capture = nullptr;
+  ThreadState& s = t_state;
+  if (s.capture != this) return;
+  s.capture = nullptr;
+  NewCaptureGeneration(&s);
 }
 
+namespace {
+// The facts carrying kCaptured in one thread's table for `t.unit`.
+UnitCover CapturedCover(const SlotTable& t) {
+  UnitCover cover;
+  for (std::size_t i = 0; i < t.stmts.size(); ++i) {
+    if ((t.stmts[i] & kCaptured) != 0) cover.stmts.insert(static_cast<int>(i));
+  }
+  for (std::size_t d = 0; d < t.decisions.size(); ++d) {
+    for (const VectorMark& v : t.decisions[d].vectors) {
+      if ((v.marks & kCaptured) == 0) continue;
+      DecisionCover& dec = cover.decisions[static_cast<int>(d)];
+      dec.num_conditions = t.unit->decision_conditions(static_cast<int>(d));
+      if (v.outcome) {
+        dec.seen_true = true;
+      } else {
+        dec.seen_false = true;
+      }
+      dec.vectors.insert({v.mask, v.outcome});
+    }
+  }
+  return cover;
+}
+}  // namespace
+
 CoverSet ThreadCapture::Take() {
-  CERTKIT_CHECK_MSG(t_capture == this,
+  ThreadState& s = t_state;
+  CERTKIT_CHECK_MSG(s.capture == this,
                     "ThreadCapture::Take on a different thread");
   CoverSet out;
-  for (auto& [unit, cover] : captured_) {
-    out[unit->name()] = std::move(cover);
+  {
+    // Held so no captured Unit is destroyed while it is read.
+    SlotOwners& slots = Slots();
+    std::lock_guard<std::mutex> lock(slots.mu);
+    for (const int slot : s.captured_slots) {
+      const SlotTable& t = s.slots[static_cast<std::size_t>(slot)];
+      if (slots.birth[static_cast<std::size_t>(slot)] != t.birth) continue;
+      UnitCover cover = CapturedCover(t);
+      if (!cover.stmts.empty() || !cover.decisions.empty()) {
+        out[t.unit->name()] = std::move(cover);
+      }
+    }
   }
-  captured_.clear();
+  NewCaptureGeneration(&s);
   return out;
 }
 

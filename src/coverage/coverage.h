@@ -15,14 +15,19 @@
 // evaluated eagerly (no short-circuit), which is the standard trade-off of
 // source-level instrumentation and is documented in DESIGN.md.
 //
-// Thread safety: probes may fire concurrently (the GPU-on-CPU layer runs
-// kernels on a thread pool). Statement hits are atomic; decision-vector
-// recording takes a per-unit mutex.
+// Thread safety: declarations (Declare*) finish before probes on the same
+// Unit run concurrently. Probes may then fire from any number of threads
+// (the campaign fleet and the GPU-on-CPU layer do). Each thread keeps its
+// own dense table per Unit, so a probe takes the Unit's lock only on this
+// thread's first sighting of a fact since the Unit's last Reset(); every
+// later hit stays thread-local. Function and call probes are lock-free
+// atomic flags.
 #ifndef CERTKIT_COVERAGE_COVERAGE_H_
 #define CERTKIT_COVERAGE_COVERAGE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,14 +43,6 @@ namespace certkit::cov {
 // Enabled by default.
 void SetProbesEnabled(bool enabled);
 bool ProbesEnabled();
-
-struct DecisionRecord {
-  int num_conditions = 0;
-  bool seen_true = false;
-  bool seen_false = false;
-  // Distinct evaluation vectors: (condition bitmask, outcome).
-  std::set<std::pair<std::uint64_t, bool>> vectors;
-};
 
 // Unique-cause MC/DC analysis over a recorded vector set: the number of
 // conditions (out of `num_conditions`) for which two vectors exist that
@@ -69,6 +66,7 @@ struct DecisionCover {
   int num_conditions = 0;
   bool seen_true = false;
   bool seen_false = false;
+  // Distinct evaluation vectors: (condition bitmask, outcome).
   std::set<std::pair<std::uint64_t, bool>> vectors;
 
   bool operator==(const DecisionCover&) const = default;
@@ -94,6 +92,7 @@ std::int64_t MergeCover(CoverSet* dst, const CoverSet& src);
 class Unit {
  public:
   explicit Unit(std::string name);
+  ~Unit();
   Unit(const Unit&) = delete;
   Unit& operator=(const Unit&) = delete;
 
@@ -155,20 +154,25 @@ class Unit {
   void Reset();  // clears execution state, keeps declarations
 
  private:
-  struct ThreadVec;  // per-thread accumulation of condition bits
+  struct NamedProbe {
+    explicit NamedProbe(std::string probe_name) : name(std::move(probe_name)) {}
+    std::string name;
+    std::atomic<bool> hit{false};
+  };
 
   std::string name_;
-  std::vector<std::atomic<std::uint64_t>> stmt_hits_;
-  int declared_statements_ = 0;
+  // Identity and per-thread table index. `birth_` is the epoch drawn at
+  // construction; `slot_` is dense and reused after the Unit is destroyed.
+  const std::uint64_t birth_;
+  const int slot_;
+  // Redrawn by Reset(): a thread whose table carries an older epoch
+  // publishes its facts again.
+  std::atomic<std::uint64_t> epoch_;
   mutable std::mutex mu_;
-  std::vector<DecisionRecord> decisions_;
-
-  struct NamedProbe {
-    std::string name;
-    bool hit = false;
-  };
-  std::vector<NamedProbe> functions_;
-  std::vector<NamedProbe> calls_;
+  std::vector<std::uint8_t> stmt_hits_;     // guarded by mu_
+  std::vector<DecisionCover> decisions_;    // guarded by mu_
+  std::deque<NamedProbe> functions_;  // deque: hit flags never move
+  std::deque<NamedProbe> calls_;
 };
 
 // Process-wide registry of units, keyed by name.
@@ -214,9 +218,10 @@ CoverageRow CoverRow(const Unit& unit, const UnitCover& cover);
 // Take()/destruction, in addition to the normal global recording. This is
 // how a fleet worker attributes coverage to the one candidate it is
 // executing while other workers hammer the same Units concurrently: the
-// capture is thread-local, so it sees exactly this thread's probes and
-// costs the other threads nothing. At most one capture may be active per
-// thread; the object must be used on the thread that created it.
+// capture marks facts in the thread's own probe tables, so it sees exactly
+// this thread's probes and costs the other threads nothing. At most one
+// capture may be active per thread; the object must be used on the thread
+// that created it.
 class ThreadCapture {
  public:
   ThreadCapture();
@@ -224,12 +229,9 @@ class ThreadCapture {
   ThreadCapture(const ThreadCapture&) = delete;
   ThreadCapture& operator=(const ThreadCapture&) = delete;
 
-  // Returns everything captured so far and clears the buffer.
+  // Returns everything captured so far and clears the buffer. Units
+  // destroyed since they were captured are left out.
   CoverSet Take();
-
- private:
-  friend class Unit;
-  std::map<const Unit*, UnitCover> captured_;
 };
 
 }  // namespace certkit::cov

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ad/pipeline.h"
+#include "coverage/coverage.h"
 #include "gtest/gtest.h"
 #include "nn/detector.h"
 #include "support/alloc_counter.h"
@@ -100,6 +101,36 @@ TEST(TickPerf, SteadyStateTickAllocatesNothing) {
     EXPECT_EQ(steady_allocs, 0u)
         << "steady-state Tick touched the heap " << steady_allocs
         << " times (backend/quantization: " << tc.name << ")";
+  }
+}
+
+// The campaign's hot path: a fleet worker ticks a probed pilot under a live
+// coverage capture. Once the capture has seen the warm-up's facts, further
+// ticks must stay off the heap too.
+TEST(TickPerf, CapturedSteadyStateTickAllocatesNothing) {
+  certkit::cov::SetProbesEnabled(true);
+  for (const TickCase& tc : kTickCases) {
+    SCOPED_TRACE(tc.name);
+    adpilot::ApolloPilot pilot(MakeConfig(tc.backend, tc.quantized));
+    certkit::cov::ThreadCapture capture;
+    for (int i = 0; i < kWarmupTicks; ++i) pilot.Tick();
+
+    ReserveTickTimers(kMeasuredTicks);
+    AllocScope steady_scope;
+    for (int i = 0; i < kMeasuredTicks; ++i) pilot.Tick();
+    const std::uint64_t steady_allocs = steady_scope.allocations();
+
+    EXPECT_FALSE(capture.Take().empty());
+    std::printf("[tickperf] %-12s captured steady_allocs=%llu\n", tc.name,
+                static_cast<unsigned long long>(steady_allocs));
+    if (!AllocCountingActive()) {
+      GTEST_SKIP() << "alloc hooks not linked (sanitizer build tree); "
+                      "functional smoke only";
+    }
+    EXPECT_EQ(steady_allocs, 0u)
+        << "steady-state Tick under a ThreadCapture touched the heap "
+        << steady_allocs << " times (backend/quantization: " << tc.name
+        << ")";
   }
 }
 

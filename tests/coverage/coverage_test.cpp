@@ -1,8 +1,11 @@
-// Unit tests for the coverage runtime: statement, branch, and MC/DC.
+// Unit tests for the coverage runtime: statement, branch, and MC/DC, plus
+// its concurrency contract (per-thread captures, Reset epochs, slot reuse).
 #include "coverage/coverage.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -202,6 +205,166 @@ TEST(CoverageTest, ConcurrentDecisionProbes) {
   for (auto& th : threads) th.join();
   EXPECT_DOUBLE_EQ(u.BranchCoverage(), 1.0);
   EXPECT_EQ(u.mcdc_conditions_demonstrated(), 2);
+}
+
+// Each thread fires its own statements and its own (mask, outcome) vectors
+// on one shared Unit, many times over, under its own capture. A capture must
+// hold exactly its thread's facts; the Unit holds their union.
+TEST(CoverageConcurrencyTest, PerThreadCapturesSeeOnlyTheirOwnFacts) {
+  constexpr int kThreads = 4;
+  constexpr int kVectorsPerThread = 4;
+  Unit u("mt/captures");
+  u.DeclareStatements(kThreads * 2);
+  const int d = u.DeclareDecision(4);
+  std::vector<CoverSet> taken(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&u, &taken, d, t] {
+      ThreadCapture capture;
+      for (int rep = 0; rep < 200; ++rep) {
+        u.Stmt(2 * t);
+        u.Stmt(2 * t + 1);
+        for (int v = 0; v < kVectorsPerThread; ++v) {
+          const int mask = t * kVectorsPerThread + v;  // disjoint per thread
+          for (int c = 0; c < 4; ++c) u.Cond(d, c, ((mask >> c) & 1) != 0);
+          u.Dec(d, v % 2 == 0);
+        }
+      }
+      taken[static_cast<std::size_t>(t)] = capture.Take();
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  UnitCover all;
+  for (int t = 0; t < kThreads; ++t) {
+    UnitCover expected;
+    expected.stmts = {2 * t, 2 * t + 1};
+    DecisionCover& dec = expected.decisions[d];
+    dec.num_conditions = 4;
+    dec.seen_true = dec.seen_false = true;
+    for (int v = 0; v < kVectorsPerThread; ++v) {
+      dec.vectors.insert(
+          {static_cast<std::uint64_t>(t * kVectorsPerThread + v), v % 2 == 0});
+    }
+    const CoverSet& got = taken[static_cast<std::size_t>(t)];
+    ASSERT_EQ(got.size(), 1u) << "thread " << t;
+    EXPECT_EQ(got.at("mt/captures"), expected) << "thread " << t;
+    CoverSet merged{{"mt/captures", all}};
+    MergeCover(&merged, got);
+    all = merged.at("mt/captures");
+  }
+  EXPECT_EQ(u.TakeCover(), all);
+  EXPECT_DOUBLE_EQ(u.StatementCoverage(), 1.0);
+}
+
+// The publish-once cache must not outlive a Reset: the same thread firing
+// the same facts after Reset() makes them visible in the Unit again.
+TEST(CoverageConcurrencyTest, ResetMakesKnownFactsPublishAgain) {
+  Unit u("mt/reset");
+  u.DeclareStatements(1);
+  const int d = u.DeclareDecision(2);
+  auto fire = [&u, d] {
+    u.Stmt(0);
+    u.Cond(d, 0, true);
+    u.Cond(d, 1, false);
+    u.Dec(d, false);
+  };
+  const UnitCover fired = [&] {
+    fire();
+    return u.TakeCover();
+  }();
+  ASSERT_EQ(fired.stmts.size(), 1u);
+  u.Reset();
+  EXPECT_TRUE(u.TakeCover().stmts.empty());
+  fire();
+  EXPECT_EQ(u.TakeCover(), fired);
+
+  // Reset on another thread invalidates this thread's marks the same way.
+  std::thread([&u] { u.Reset(); }).join();
+  EXPECT_EQ(u.statements_hit(), 0);
+  fire();
+  EXPECT_EQ(u.TakeCover(), fired);
+}
+
+// A capture is independent of Unit::Reset: facts captured before a Reset
+// stay in the capture, and facts re-fired after it are captured once.
+TEST(CoverageConcurrencyTest, ResetDoesNotClearALiveCapture) {
+  Unit u("mt/reset-capture");
+  u.DeclareStatements(2);
+  ThreadCapture capture;
+  u.Stmt(0);
+  u.Reset();
+  u.Stmt(1);
+  const CoverSet got = capture.Take();
+  EXPECT_EQ(got.at("mt/reset-capture").stmts, (std::set<int>{0, 1}));
+  EXPECT_EQ(u.TakeCover().stmts, std::set<int>{1});
+}
+
+// A destroyed Unit's slot goes to the next Unit built. The new Unit must
+// not inherit the calling thread's marks (or its capture) from the old one.
+TEST(CoverageConcurrencyTest, ReusedSlotStartsClean) {
+  {
+    Unit old_unit("slot/old");
+    old_unit.DeclareStatements(2);
+    const int d = old_unit.DeclareDecision(1);
+    old_unit.Stmt(0);
+    old_unit.Branch(d, true);
+  }
+  {
+    Unit fresh("slot/new");  // takes the slot old_unit freed
+    fresh.DeclareStatements(2);
+    const int d = fresh.DeclareDecision(1);
+    fresh.Stmt(0);
+    fresh.Branch(d, true);
+    EXPECT_EQ(fresh.statements_hit(), 1);
+    EXPECT_DOUBLE_EQ(fresh.BranchCoverage(), 0.5);
+  }
+
+  ThreadCapture capture;
+  {
+    Unit old_unit("slot/old");
+    old_unit.DeclareStatements(2);
+    old_unit.Stmt(1);
+  }
+  Unit fresh("slot/new");
+  fresh.DeclareStatements(2);
+  fresh.Stmt(0);
+  const CoverSet got = capture.Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.at("slot/new").stmts, std::set<int>{0});
+
+  // Many short-lived Units in a row keep reusing slots and stay correct.
+  for (int i = 0; i < 100; ++i) {
+    Unit u("slot/churn");
+    u.DeclareStatements(1);
+    EXPECT_EQ(u.statements_hit(), 0);
+    u.Stmt(0);
+    EXPECT_EQ(u.statements_hit(), 1);
+  }
+}
+
+TEST(CoverageConcurrencyTest, ConcurrentFunctionAndCallProbes) {
+  Unit u("mt/functions");
+  const int f_hot = u.DeclareFunctionProbe("hot");
+  u.DeclareFunctionProbe("cold");
+  const int c_hot = u.DeclareCallProbe("main", "hot");
+  u.DeclareCallProbe("main", "cold");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&u, f_hot, c_hot] {
+      for (int i = 0; i < 1000; ++i) {
+        u.EnterFunction(f_hot);
+        u.CallSite(c_hot);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_DOUBLE_EQ(u.FunctionCoverage(), 0.5);
+  EXPECT_DOUBLE_EQ(u.CallCoverage(), 0.5);
+  EXPECT_EQ(u.UncoveredFunctions(), std::vector<std::string>{"cold"});
+  u.Reset();
+  EXPECT_DOUBLE_EQ(u.FunctionCoverage(), 0.0);
+  EXPECT_EQ(u.UncoveredFunctions().size(), 2u);
 }
 
 // Property sweep: with a decision of N independent conditions driven through
