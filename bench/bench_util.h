@@ -27,7 +27,7 @@ inline const certkit::corpus::CorpusAnalysis& Corpus() {
   return *analysis;
 }
 
-// Median-of-N wall-clock timing for the figure-7/8 ratio summaries.
+// Best-of-N (minimum) wall-clock timing for the figure-7/8 ratio summaries.
 inline double TimeSeconds(const std::function<void()>& fn, int repeats = 3) {
   double best = 1e99;
   for (int i = 0; i < repeats; ++i) {

@@ -1,7 +1,7 @@
 // Tick-path performance driver — the headline claim of the register-tiled,
 // allocation-free tick work, runnable as one self-checking binary.
 //
-// Four contracts, each checked at runtime (nonzero exit on any breach, so
+// Three contracts, each checked at runtime (nonzero exit on any breach, so
 // CI treats this binary like a test):
 //
 //  1. SPEEDUP — the optimized tick (int8 detector: PMADDWD dot-product
@@ -20,9 +20,10 @@
 //     output tracks the bit-exact fp32 reference within the theoretical
 //     quantization-grid error bound (the same gate the containment test
 //     enforces: K/2 * (in_step*|w|max + w_step*|x|max + in_step*w_step)).
-//  4. GEMM — micro::Sgemm stays bit-identical to cpublas::Sgemm on the
-//     representative shape while being faster; both GFLOP/s are reported,
-//     plus the int8 dot-kernel's GOPS.
+//
+// It also reports GEMM throughput on a 256³ shape: the naive cpublas
+// reference's GFLOP/s and the int8 dot-kernel's GOPS. The fp32 kernels'
+// bit-identity is pinned by the gemm property test, not here.
 //
 // Output is one JSON document. Wall-clock fields vary run to run, so the
 // file is *not* byte-stable; a reference run is committed as
@@ -59,13 +60,6 @@ void Check(bool ok, const std::string& what) {
                  what.c_str());
     ++g_failures;
   }
-}
-
-double Percentile(std::vector<double>* samples, double p) {
-  std::sort(samples->begin(), samples->end());
-  const std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(samples->size() - 1) + 0.5);
-  return (*samples)[idx];
 }
 
 // Same rationale as the tickperf harness: ExecutionTimer::Record runs
@@ -175,32 +169,29 @@ double AccuracyGate(float* bound_out) {
   return max_abs_err;
 }
 
-// GEMM comparison on a representative square shape: wall time per call for
-// the microkernel vs the naive CPU-BLAS reference, with a bit-identity
-// check (the blocking must not change a single ulp).
+// GEMM throughput on a representative square shape: the naive CPU-BLAS
+// reference and the int8 inner kernel the quantized conv path actually runs.
 struct GemmResult {
-  double micro_gflops = 0.0;
   double cpublas_gflops = 0.0;
   double int8_gops = 0.0;
 };
 
-GemmResult GemmCompare() {
+GemmResult GemmThroughput() {
   const kernels::GemmShape shape{256, 256, 256};
   const std::size_t mk = 256 * 256;
-  std::vector<float> a(mk), b(mk), c_micro(mk), c_ref(mk);
-  certkit::support::Xoshiro256 rng(0xC0FFEEu);
-  for (float& v : a) v = static_cast<float>(rng.UniformDouble(-1, 1));
-  for (float& v : b) v = static_cast<float>(rng.UniformDouble(-1, 1));
-
   const double flops = 2.0 * 256 * 256 * 256;
   GemmResult r;
 
   {  // reference: one warm call, then timed reps
-    kernels::cpublas::Sgemm(a.data(), b.data(), c_ref.data(), shape);
+    std::vector<float> a(mk), b(mk), c(mk);
+    certkit::support::Xoshiro256 rng(0xC0FFEEu);
+    for (float& v : a) v = static_cast<float>(rng.UniformDouble(-1, 1));
+    for (float& v : b) v = static_cast<float>(rng.UniformDouble(-1, 1));
+    kernels::cpublas::Sgemm(a.data(), b.data(), c.data(), shape);
     const int reps = 3;
     const auto t0 = Clock::now();
     for (int i = 0; i < reps; ++i) {
-      kernels::cpublas::Sgemm(a.data(), b.data(), c_ref.data(), shape);
+      kernels::cpublas::Sgemm(a.data(), b.data(), c.data(), shape);
     }
     const auto t1 = Clock::now();
     r.cpublas_gflops =
@@ -208,21 +199,6 @@ GemmResult GemmCompare() {
         std::chrono::duration<double>(t1 - t0).count() / 1e9;
   }
   {
-    kernels::micro::Sgemm(a.data(), b.data(), c_micro.data(), shape);
-    const int reps = 10;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < reps; ++i) {
-      kernels::micro::Sgemm(a.data(), b.data(), c_micro.data(), shape);
-    }
-    const auto t1 = Clock::now();
-    r.micro_gflops =
-        flops * reps /
-        std::chrono::duration<double>(t1 - t0).count() / 1e9;
-  }
-  Check(std::memcmp(c_micro.data(), c_ref.data(), mk * sizeof(float)) == 0,
-        "micro::Sgemm not bit-identical to cpublas::Sgemm");
-
-  {  // the int8 inner kernel the quantized conv path actually runs
     std::vector<std::int16_t> qa(mk), qbt(mk);
     std::vector<std::int32_t> qc(mk);
     for (std::size_t i = 0; i < mk; ++i) {
@@ -264,10 +240,8 @@ int main(int argc, char** argv) {
             std::to_string(max_abs_err) + " > " + std::to_string(bound) +
             ")");
 
-  // --- 2. GEMM micro vs cpublas -------------------------------------------
-  const GemmResult gemm = GemmCompare();
-  Check(gemm.micro_gflops > gemm.cpublas_gflops,
-        "microkernel not faster than the naive reference");
+  // --- 2. GEMM throughput (reported, not gated) ---------------------------
+  const GemmResult gemm = GemmThroughput();
 
   // --- 3. steady-state allocations ----------------------------------------
   const bool counting = certkit::support::AllocCountingActive();
@@ -288,10 +262,13 @@ int main(int argc, char** argv) {
     MeasureBlock(false, warmup, ticks, &base_us);
     MeasureBlock(true, warmup, ticks, &opt_us);
   }
-  const double base_p50 = Percentile(&base_us, 0.50);
-  const double base_p99 = Percentile(&base_us, 0.99);
-  const double opt_p50 = Percentile(&opt_us, 0.50);
-  const double opt_p99 = Percentile(&opt_us, 0.99);
+  std::sort(base_us.begin(), base_us.end());
+  std::sort(opt_us.begin(), opt_us.end());
+  using certkit::timing::NearestRankQuantile;
+  const double base_p50 = NearestRankQuantile(base_us, 0.50);
+  const double base_p99 = NearestRankQuantile(base_us, 0.99);
+  const double opt_p50 = NearestRankQuantile(opt_us, 0.50);
+  const double opt_p99 = NearestRankQuantile(opt_us, 0.99);
   const double speedup = opt_p50 > 0.0 ? base_p50 / opt_p50 : 0.0;
   Check(speedup >= speedup_floor,
         "tick speedup " + std::to_string(speedup) + "x below the " +
@@ -308,14 +285,13 @@ int main(int argc, char** argv) {
       "\"p99_us\":%.1f,\"steady_allocs_per_%d_ticks\":%llu},"
       "\"speedup_p50\":%.2f,\"speedup_floor\":%.1f,"
       "\"alloc_counting_active\":%s,"
-      "\"gemm_256\":{\"micro_gflops\":%.2f,\"cpublas_gflops\":%.2f,"
-      "\"int8_dott_gops\":%.2f,\"bit_identical\":true},"
+      "\"gemm_256\":{\"cpublas_gflops\":%.2f,\"int8_dott_gops\":%.2f},"
       "\"int8_accuracy\":{\"max_abs_err\":%.6f,\"grid_bound\":%.6f},"
       "\"checks_failed\":%d}}\n",
       ticks, blocks, warmup, base_p50, base_p99, ticks,
       static_cast<unsigned long long>(base_allocs), opt_p50, opt_p99, ticks,
       static_cast<unsigned long long>(opt_allocs), speedup, speedup_floor,
-      counting ? "true" : "false", gemm.micro_gflops, gemm.cpublas_gflops,
-      gemm.int8_gops, max_abs_err, static_cast<double>(bound), g_failures);
+      counting ? "true" : "false", gemm.cpublas_gflops, gemm.int8_gops,
+      max_abs_err, static_cast<double>(bound), g_failures);
   return g_failures == 0 ? 0 : 1;
 }

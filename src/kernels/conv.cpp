@@ -141,46 +141,21 @@ std::mutex g_cache_mu;
 std::map<ShapeKey, int> g_tuned;
 bool g_timing_tuning = false;
 
-// Candidate GEMM tile configurations the auto-tuner explores.
-using GemmFn = void (*)(const float*, const float*, float*, GemmShape,
-                        gpusim::Device&);
-constexpr int kNumCandidates = 4;
-
-struct TileDims {
+// Candidate GEMM tile configurations the auto-tuner explores: each entry
+// pairs the tile dims the cost model reads with the GEMM that uses them.
+struct Candidate {
   int tm, tn;
+  void (*gemm)(const float*, const float*, float*, GemmShape,
+               gpusim::Device&);
 };
-constexpr TileDims kCandidateTiles[kNumCandidates] = {
-    {32, 32}, {64, 64}, {16, 128}, {128, 16}};
-
-void GemmCand0(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<32, 32>(a, b, c, s, d);
-}
-void GemmCand1(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<64, 64>(a, b, c, s, d);
-}
-void GemmCand2(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<16, 128>(a, b, c, s, d);
-}
-void GemmCand3(const float* a, const float* b, float* c, GemmShape s,
-               gpusim::Device& d) {
-  cutlass_sim::Sgemm<128, 16>(a, b, c, s, d);
-}
-
-GemmFn Candidate(int index) {
-  switch (index) {
-    case 0:
-      return &GemmCand0;
-    case 1:
-      return &GemmCand1;
-    case 2:
-      return &GemmCand2;
-    default:
-      return &GemmCand3;
-  }
-}
+constexpr Candidate kCandidates[] = {
+    {32, 32, &cutlass_sim::Sgemm<32, 32>},
+    {64, 64, &cutlass_sim::Sgemm<64, 64>},
+    {16, 128, &cutlass_sim::Sgemm<16, 128>},
+    {128, 16, &cutlass_sim::Sgemm<128, 16>},
+};
+constexpr int kNumCandidates =
+    static_cast<int>(sizeof(kCandidates) / sizeof(kCandidates[0]));
 
 // Per-thread im2col/GEMM scratch arena. Conv2d is called per layer per
 // frame on hot paths (detector inference, campaign candidates); reusing the
@@ -254,7 +229,7 @@ void RunWithConfig(const float* input, const float* weights,
     arena.fused.resize(static_cast<std::size_t>(s.out_channels) * cols_n);
     gemm_out = arena.fused.data();
   }
-  Candidate(config)(weights, arena.cols.data(), gemm_out, gs, device);
+  kCandidates[config].gemm(weights, arena.cols.data(), gemm_out, gs, device);
 
   if (s.batch > 1) {
     for (int n = 0; n < s.batch; ++n) {
@@ -315,7 +290,7 @@ std::uint64_t ModeledConfigCost(const ConvShape& shape, int config,
                                 unsigned sm_count) {
   CERTKIT_CHECK(config >= 0 && config < kNumCandidates);
   CERTKIT_CHECK(sm_count >= 1);
-  const TileDims tile = kCandidateTiles[config];
+  const Candidate& tile = kCandidates[config];
   const auto m = static_cast<std::uint64_t>(shape.out_channels);
   const auto n = static_cast<std::uint64_t>(shape.batch) * shape.OutH() *
                  shape.OutW();

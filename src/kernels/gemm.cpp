@@ -1,7 +1,5 @@
 #include "kernels/gemm.h"
 
-#include <algorithm>
-
 namespace kernels {
 
 namespace cpublas {
@@ -25,255 +23,7 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s) {
 
 }  // namespace cpublas
 
-namespace cublas_sim {
-
-namespace {
-constexpr int kTileM = 64;
-constexpr int kTileN = 64;
-
-// Hand-tuned block kernel: 2x2 register blocking over the output tile.
-void ComputeTileTuned(const float* a, const float* b, float* c, GemmShape s,
-                      int bm, int bn) {
-  const int m0 = bm * kTileM;
-  const int n0 = bn * kTileN;
-  const int m1 = m0 + kTileM < s.m ? m0 + kTileM : s.m;
-  const int n1 = n0 + kTileN < s.n ? n0 + kTileN : s.n;
-
-  int i = m0;
-  for (; i + 2 <= m1; i += 2) {
-    const float* a0 = a + static_cast<std::size_t>(i) * s.k;
-    const float* a1 = a0 + s.k;
-    float* c0 = c + static_cast<std::size_t>(i) * s.n;
-    float* c1 = c0 + s.n;
-    for (int j = n0; j < n1; ++j) {
-      c0[j] = 0.0f;
-      c1[j] = 0.0f;
-    }
-    for (int kk = 0; kk < s.k; ++kk) {
-      const float av0 = a0[kk];
-      const float av1 = a1[kk];
-      const float* brow = b + static_cast<std::size_t>(kk) * s.n;
-      int j = n0;
-      for (; j + 2 <= n1; j += 2) {
-        const float b0 = brow[j];
-        const float b1 = brow[j + 1];
-        c0[j] += av0 * b0;
-        c0[j + 1] += av0 * b1;
-        c1[j] += av1 * b0;
-        c1[j + 1] += av1 * b1;
-      }
-      for (; j < n1; ++j) {
-        c0[j] += av0 * brow[j];
-        c1[j] += av1 * brow[j];
-      }
-    }
-  }
-  for (; i < m1; ++i) {  // remainder row
-    const float* arow = a + static_cast<std::size_t>(i) * s.k;
-    float* crow = c + static_cast<std::size_t>(i) * s.n;
-    for (int j = n0; j < n1; ++j) crow[j] = 0.0f;
-    for (int kk = 0; kk < s.k; ++kk) {
-      const float av = arow[kk];
-      const float* brow = b + static_cast<std::size_t>(kk) * s.n;
-      for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-}  // namespace
-
-void Sgemm(const float* a, const float* b, float* c, GemmShape s,
-           gpusim::Device& device) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  gpusim::Dim3 grid;
-  grid.x = static_cast<unsigned>((s.n + kTileN - 1) / kTileN);
-  grid.y = static_cast<unsigned>((s.m + kTileM - 1) / kTileM);
-  device.Launch(grid, gpusim::Dim3{1, 1, 1},
-                [=](const gpusim::KernelContext& ctx) {
-                  ComputeTileTuned(a, b, c, s,
-                                   static_cast<int>(ctx.block_idx.y),
-                                   static_cast<int>(ctx.block_idx.x));
-                });
-}
-
-}  // namespace cublas_sim
-
 namespace micro {
-
-namespace {
-
-// Register-tile candidates. The architectural budget below is 16 SIMD
-// registers × 4 fp32 lanes = 64 accumulator lanes; tiles above it stay in
-// the table so the spill penalty term is exercised, not hand-pruned.
-constexpr BlockConfig kCandidates[] = {
-    {4, 8, 1024}, {8, 8, 512}, {4, 16, 512}, {2, 16, 1024}, {8, 16, 256},
-};
-constexpr int kNumCandidates =
-    static_cast<int>(sizeof(kCandidates) / sizeof(kCandidates[0]));
-constexpr std::int64_t kRegisterBudget = 64;   // accumulator lanes
-constexpr std::int64_t kPanelSetupOps = 64;    // per cache-panel K-loop setup
-constexpr std::int64_t kForkOverheadOps = 4096;  // per row stripe, mirrors
-                                                 // isaac_sim's launch term
-
-std::int64_t CeilDiv64(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-// One mr×nr register tile: accumulators live across the whole K loop, K is
-// never split, and every acc[r][cc] sees the same mul-then-add sequence a
-// scalar loop would — the bit-exactness contract from the header.
-template <typename In, typename Acc, int MR, int NR>
-inline void MicroTile(const In* a, const In* b, Acc* c, GemmShape s, int i0,
-                      int j0) {
-  Acc acc[MR][NR] = {};
-  for (int kk = 0; kk < s.k; ++kk) {
-    const In* brow = b + static_cast<std::size_t>(kk) * s.n + j0;
-    for (int r = 0; r < MR; ++r) {
-      const Acc av =
-          static_cast<Acc>(a[static_cast<std::size_t>(i0 + r) * s.k + kk]);
-      for (int cc = 0; cc < NR; ++cc) {
-        acc[r][cc] += av * static_cast<Acc>(brow[cc]);
-      }
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    Acc* crow = c + static_cast<std::size_t>(i0 + r) * s.n + j0;
-    for (int cc = 0; cc < NR; ++cc) crow[cc] = acc[r][cc];
-  }
-}
-
-// Fringe rectangle [i0,i1)×[j0,j1): scalar, one K-ordered accumulator per
-// element, so fringe elements round exactly like tiled ones.
-template <typename In, typename Acc>
-void FringeRect(const In* a, const In* b, Acc* c, GemmShape s, int i0, int i1,
-                int j0, int j1) {
-  for (int i = i0; i < i1; ++i) {
-    const In* arow = a + static_cast<std::size_t>(i) * s.k;
-    Acc* crow = c + static_cast<std::size_t>(i) * s.n;
-    for (int j = j0; j < j1; ++j) {
-      Acc acc = 0;
-      for (int kk = 0; kk < s.k; ++kk) {
-        acc += static_cast<Acc>(arow[kk]) *
-               static_cast<Acc>(b[static_cast<std::size_t>(kk) * s.n + j]);
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
-// Rows [r0,r1) of C, swept in nc-column cache panels of B.
-template <typename In, typename Acc, int MR, int NR>
-void StripeBody(const In* a, const In* b, Acc* c, GemmShape s, int r0, int r1,
-                int nc) {
-  for (int jc = 0; jc < s.n; jc += nc) {
-    const int jc1 = std::min(jc + nc, s.n);
-    int i = r0;
-    for (; i + MR <= r1; i += MR) {
-      int j = jc;
-      for (; j + NR <= jc1; j += NR) {
-        MicroTile<In, Acc, MR, NR>(a, b, c, s, i, j);
-      }
-      FringeRect(a, b, c, s, i, i + MR, j, jc1);
-    }
-    FringeRect(a, b, c, s, i, r1, jc, jc1);
-  }
-}
-
-template <typename In, typename Acc>
-void StripeDispatch(const In* a, const In* b, Acc* c, GemmShape s, int r0,
-                    int r1, BlockConfig cfg) {
-  if (cfg.mr == 4 && cfg.nr == 8) {
-    StripeBody<In, Acc, 4, 8>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 8 && cfg.nr == 8) {
-    StripeBody<In, Acc, 8, 8>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 4 && cfg.nr == 16) {
-    StripeBody<In, Acc, 4, 16>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 2 && cfg.nr == 16) {
-    StripeBody<In, Acc, 2, 16>(a, b, c, s, r0, r1, cfg.nc);
-  } else if (cfg.mr == 8 && cfg.nr == 16) {
-    StripeBody<In, Acc, 8, 16>(a, b, c, s, r0, r1, cfg.nc);
-  } else {
-    StripeBody<In, Acc, 4, 8>(a, b, c, s, r0, r1, cfg.nc);
-  }
-}
-
-// Outer blocking: contiguous row stripes, one per pool lane. Disjoint C rows,
-// so any stripe count (including 1, the inline path) is bit-identical.
-template <typename In, typename Acc>
-void GemmBlocked(const In* a, const In* b, Acc* c, GemmShape s,
-                 certkit::support::ThreadPool* pool) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  const int stripes =
-      pool != nullptr ? std::max(1, pool->thread_count() + 1) : 1;
-  const BlockConfig cfg = PickBlockConfig(s, stripes);
-  if (stripes <= 1 || s.m < 2 * stripes) {
-    StripeDispatch(a, b, c, s, 0, s.m, cfg);
-    return;
-  }
-  const int rows_per =
-      static_cast<int>(CeilDiv64(s.m, stripes));
-  pool->ParallelFor(static_cast<std::size_t>(stripes), [&](std::size_t t) {
-    const int r0 = static_cast<int>(t) * rows_per;
-    const int r1 = std::min(r0 + rows_per, s.m);
-    if (r0 < r1) StripeDispatch(a, b, c, s, r0, r1, cfg);
-  });
-}
-
-}  // namespace
-
-int CandidateCount() { return kNumCandidates; }
-
-BlockConfig Candidate(int index) {
-  CERTKIT_CHECK(index >= 0 && index < kNumCandidates);
-  return kCandidates[index];
-}
-
-std::int64_t ModeledBlockCost(GemmShape s, BlockConfig cfg, int stripes) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  CERTKIT_CHECK(cfg.mr > 0 && cfg.nr > 0 && cfg.nc > 0);
-  const std::int64_t lanes = std::max(1, stripes);
-  const std::int64_t row_tiles = CeilDiv64(s.m, cfg.mr);
-  const std::int64_t col_tiles = CeilDiv64(s.n, cfg.nr);
-  // Padded MAC count: fringe tiles are modeled at full tile width, so
-  // oversized tiles pay for the work their remainders waste.
-  const std::int64_t padded_macs =
-      row_tiles * cfg.mr * col_tiles * cfg.nr * static_cast<std::int64_t>(s.k);
-  // Each row tile restarts the K loop once per cache panel of B.
-  const std::int64_t panels = CeilDiv64(s.n, cfg.nc);
-  const std::int64_t panel_ops =
-      row_tiles * panels * (static_cast<std::int64_t>(s.k) + kPanelSetupOps);
-  // A tile needs mr*nr accumulator lanes plus mr broadcast lanes; past the
-  // architectural budget the "registers" spill and every MAC pays a reload.
-  const std::int64_t spill =
-      (static_cast<std::int64_t>(cfg.mr) * cfg.nr + cfg.mr > kRegisterBudget)
-          ? padded_macs / 4
-          : 0;
-  return CeilDiv64(padded_macs + panel_ops + spill, lanes) +
-         kForkOverheadOps * lanes;
-}
-
-BlockConfig PickBlockConfig(GemmShape s, int stripes) {
-  int best = 0;
-  std::int64_t best_cost = ModeledBlockCost(s, kCandidates[0], stripes);
-  for (int i = 1; i < kNumCandidates; ++i) {
-    const std::int64_t cost = ModeledBlockCost(s, kCandidates[i], stripes);
-    if (cost < best_cost) {  // strict <: ties go to the lowest index
-      best_cost = cost;
-      best = i;
-    }
-  }
-  return kCandidates[best];
-}
-
-void Sgemm(const float* a, const float* b, float* c, GemmShape s,
-           certkit::support::ThreadPool* pool) {
-  GemmBlocked<float, float>(a, b, c, s, pool);
-}
-
-void GemmS8S32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               GemmShape s, certkit::support::ThreadPool* pool) {
-  GemmBlocked<std::int8_t, std::int32_t>(a, b, c, s, pool);
-}
 
 void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
                     std::int32_t* c, GemmShape s) {
@@ -327,18 +77,6 @@ void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
       c0[j] = acc;
     }
   }
-}
-
-void SgemmWithConfig(const float* a, const float* b, float* c, GemmShape s,
-                     BlockConfig cfg) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  StripeDispatch(a, b, c, s, 0, s.m, cfg);
-}
-
-void GemmS8S32WithConfig(const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c, GemmShape s, BlockConfig cfg) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  StripeDispatch(a, b, c, s, 0, s.m, cfg);
 }
 
 }  // namespace micro

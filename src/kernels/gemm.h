@@ -1,19 +1,20 @@
-// kernels: single-precision GEMM implementations used by Figures 7 and 8a.
+// kernels: GEMM implementations used by Figures 7 and 8a and the int8 tick.
 //
 // Three stand-ins reproduce the paper's library comparison:
 //  * cublas_sim  — the "closed-source vendor library": a fixed, hand-tuned
-//    tiled GEMM (register-blocked inner kernel, one grid block per tile).
+//    configuration (64×64 tiles, one grid block per tile) of the cutlass_sim
+//    decomposition below.
 //  * cutlass_sim — the "open-source template library": the same decomposition
 //    expressed as composable C++ templates over tile sizes, so device-wide
 //    GEMMs are constructed from primitives (CUTLASS's design), reaching
 //    performance comparable to the vendor kernel.
 //  * cpublas     — the "CPU BLAS two orders of magnitude slower" reference
 //    point: a single-threaded naive triple loop.
-//  * micro       — the real-hardware CPU path: a cache-blocked,
-//    register-tiled microkernel (fp32 and int8→int32) whose block sizes are
-//    picked by an integer cost model, never by wall clock.
+// The fp32 kernels operate on row-major float matrices: C[M,N] = A[M,K] *
+// B[K,N]. Every output element is the same K-ordered dot product, so all of
+// them are bit-identical (the build never enables FMA contraction).
 //
-// All operate on row-major float matrices: C[M,N] = A[M,K] * B[K,N].
+// micro holds the host int8 kernel the quantized detector runs.
 #ifndef KERNELS_GEMM_H_
 #define KERNELS_GEMM_H_
 
@@ -22,7 +23,6 @@
 
 #include "gpusim/gpusim.h"
 #include "support/check.h"
-#include "support/thread_pool.h"
 
 namespace kernels {
 
@@ -35,12 +35,6 @@ struct GemmShape {
 namespace cpublas {
 void Sgemm(const float* a, const float* b, float* c, GemmShape shape);
 }  // namespace cpublas
-
-// "Vendor library": fixed tuned configuration.
-namespace cublas_sim {
-void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
-           gpusim::Device& device = gpusim::Device::Instance());
-}  // namespace cublas_sim
 
 // "Open template library": tile sizes are template parameters. A device-wide
 // GEMM is composed from the block-level primitive, as in CUTLASS.
@@ -120,78 +114,35 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s,
 
 }  // namespace cutlass_sim
 
-// Host microkernel: the CPU path the pipeline tick actually runs. Unlike the
-// device sims above it never goes through gpusim::Device — no launches, no
-// std::function, no heap traffic — and it is allocation-free by construction
-// (registers + caller-owned buffers only).
-//
-// Bit-exactness contract (what the gemm property test pins): every output
-// element is accumulated as the same K-ordered dot product a single scalar
-// loop would produce — register tiling spans M and N only, K is never split —
-// so micro::Sgemm is bit-identical to cpublas::Sgemm, ComputeTileTuned, and
-// every cutlass_sim tile instantiation. (The build never enables FMA
-// contraction on the baseline x86-64 target, so mul-then-add sequences round
-// identically everywhere.) The int8 kernel accumulates in int32, where
-// associativity is exact, so its blocking is unconstrained.
+// "Vendor library": a fixed, tuned configuration of the decomposition above.
+// Defined inline: an out-of-line definition in gemm.cpp (built at -O3) would
+// emit a second copy of the 64×64 tile, and the linker could then hand that
+// copy to isaac_sim's 64×64 candidate as well.
+namespace cublas_sim {
+inline void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
+                  gpusim::Device& device = gpusim::Device::Instance()) {
+  cutlass_sim::Sgemm<64, 64>(a, b, c, shape, device);
+}
+}  // namespace cublas_sim
+
+// Host int8 kernel: the CPU path the quantized conv actually runs. Unlike
+// the device sims above it never goes through gpusim::Device — no launches,
+// no std::function, no heap traffic — and it is allocation-free by
+// construction (registers + caller-owned buffers only).
 namespace micro {
 
-// A block configuration: an mr×nr register tile (accumulators held in
-// registers across the K loop) swept over nc-column cache panels of B.
-struct BlockConfig {
-  int mr = 0;
-  int nr = 0;
-  int nc = 0;
-  bool operator==(const BlockConfig&) const = default;
-};
-
-int CandidateCount();
-BlockConfig Candidate(int index);
-
-// Integer cost model, extending the PR 5 tuner: a pure function of
-// (shape, config, stripes) — padded fringe MACs, per-panel K-loop setup, a
-// register-spill penalty when the tile exceeds the architectural budget, and
-// per-stripe fork overhead. No wall clock anywhere.
-std::int64_t ModeledBlockCost(GemmShape shape, BlockConfig config,
-                              int stripes);
-
-// Deterministic argmin over the candidate table (strict <, so ties resolve
-// to the lowest index — same convention as isaac_sim::PickConfig).
-BlockConfig PickBlockConfig(GemmShape shape, int stripes);
-
-// fp32 microkernel. `pool` adds N-thread outer blocking over disjoint row
-// stripes (disjoint writes, so the result is bit-identical for any pool
-// width, including nullptr = inline).
-void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
-           certkit::support::ThreadPool* pool = nullptr);
-
-// int8 × int8 → int32 kernel for the quantized detector path. Integer
-// accumulation is exact, hence deterministic for any blocking or pool width.
-void GemmS8S32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               GemmShape shape, certkit::support::ThreadPool* pool = nullptr);
-
 // int16 dot-product kernel over a pre-transposed operand: C[M,N] = A·Bᵀ
-// with A[M,K] and BT[N,K] both row-major, int32 accumulation. This is the
-// inner kernel the quantized conv path actually runs: int8 values widened
-// to int16 make every product exact in the int16×int16→int32 dot-product
-// form the x86 backend maps to PMADDWD (8 MACs per SSE2 instruction), and
-// the [N,K] patch-matrix layout keeps BOTH operands unit-stride in K so the
-// autovectorizer can use it. Numerically identical to GemmS8S32 on the same
-// operands (integer accumulation is exact, so the summation order the
-// register tile picks cannot matter). There is no nc panel knob here: with
-// K contiguous the working set per output is two K-vectors, so the only
-// blocking dimension is the register tile, which the 16-xmm budget pins at
-// 2×2 vector accumulators (the cost model has nothing left to choose).
+// with A[M,K] and BT[N,K] both row-major, int32 accumulation. int8 values
+// widened to int16 make every product exact in the int16×int16→int32
+// dot-product form the x86 backend maps to PMADDWD (8 MACs per SSE2
+// instruction), and the [N,K] patch-matrix layout keeps BOTH operands
+// unit-stride in K so the autovectorizer can use it. Integer accumulation is
+// exact, so the result equals a scalar int32 triple loop whatever the
+// summation order. With K contiguous the working set per output is two
+// K-vectors, so the only blocking dimension is the register tile, which the
+// 16-xmm budget pins at 2×2 vector accumulators.
 void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
                     std::int32_t* c, GemmShape shape);
-
-// Config-forcing variants for the exhaustive tail-path property test: every
-// candidate tile must produce bit-identical output on every shape, or the
-// cost model could silently change results by changing its pick.
-void SgemmWithConfig(const float* a, const float* b, float* c,
-                     GemmShape shape, BlockConfig config);
-void GemmS8S32WithConfig(const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c, GemmShape shape,
-                         BlockConfig config);
 
 }  // namespace micro
 

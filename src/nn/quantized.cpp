@@ -106,11 +106,10 @@ void Im2colT(const std::int16_t* q_input, int batch, int in_c, int in_h,
   }
 }
 
-// Symmetric int8-grid snap, round half away from zero — the same grid
-// FakeQuantizeTensor documents — computed in the branch-free
-// truncate(q ± 0.5) form so the whole quantize loop vectorizes (std::round
-// is a libm call the SSE2 target cannot inline). Values are bounded by
-// amax, so the clamp only guards FP edge rounding.
+// Symmetric int8-grid snap (scale = amax / 127), round half away from zero,
+// computed in the branch-free truncate(q ± 0.5) form so the whole quantize
+// loop vectorizes (std::round is a libm call the SSE2 target cannot inline).
+// Values are bounded by amax, so the clamp only guards FP edge rounding.
 inline std::int16_t SnapToGrid(float v, float inv_scale) {
   float q = v * inv_scale;
   q = q >= 0.0f ? q + 0.5f : q - 0.5f;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/check.h"
+#include "support/json.h"
 #include "timing/timing.h"
 
 namespace certkit::obs {
@@ -214,20 +215,21 @@ std::string MetricsJson(const MetricsSnapshot& snapshot,
   out << "{\"metrics\":{\"counters\":{";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) out << ",";
-    out << "\"" << snapshot.counters[i].first
-        << "\":" << snapshot.counters[i].second;
+    out << support::JsonEscape(snapshot.counters[i].first) << ":"
+        << snapshot.counters[i].second;
   }
   out << "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) out << ",";
-    out << "\"" << snapshot.gauges[i].first
-        << "\":" << Num(snapshot.gauges[i].second);
+    out << support::JsonEscape(snapshot.gauges[i].first) << ":"
+        << Num(snapshot.gauges[i].second);
   }
   out << "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& h = snapshot.histograms[i];
     if (i > 0) out << ",";
-    out << "\"" << h.name << "\":{\"count\":" << h.count << ",\"bounds\":[";
+    out << support::JsonEscape(h.name) << ":{\"count\":" << h.count
+        << ",\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out << ",";
       out << Num(h.bounds[b]);
@@ -254,7 +256,8 @@ std::string MetricsJson(const MetricsSnapshot& snapshot,
   const auto stats = timing::TimerRegistry::Instance().SnapshotStats();
   for (std::size_t i = 0; i < stats.size(); ++i) {
     if (i > 0) out << ",";
-    out << "\"" << stats[i].first << "\":{\"count\":" << stats[i].second.count;
+    out << support::JsonEscape(stats[i].first)
+        << ":{\"count\":" << stats[i].second.count;
     if (include_timing && stats[i].second.count > 0) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),

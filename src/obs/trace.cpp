@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "support/check.h"
+#include "support/json.h"
 #include "timing/timing.h"
 
 namespace certkit::obs {
@@ -16,38 +17,6 @@ namespace {
 std::atomic<bool> g_tracing{false};
 
 thread_local SpanCapture* t_capture = nullptr;
-
-// JSON string escaping for span/track names (control chars, quotes,
-// backslashes; everything else passes through).
-void AppendEscaped(std::ostringstream& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -138,15 +107,12 @@ std::string ChromeTraceJson(const std::vector<TraceTrack>& tracks,
          "\"args\":{\"name\":\"certkit\"}}";
   for (std::size_t t = 0; t < tracks.size(); ++t) {
     out << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << t
-        << ",\"args\":{\"name\":\"";
-    AppendEscaped(out, tracks[t].label);
-    out << "\"}}";
+        << ",\"args\":{\"name\":" << support::JsonEscape(tracks[t].label)
+        << "}}";
     for (const SpanEvent& ev : tracks[t].events) {
-      out << ",{\"name\":\"";
-      AppendEscaped(out, ev.name);
-      out << "\",\"cat\":\"";
-      AppendEscaped(out, ev.cat.empty() ? "certkit" : ev.cat);
-      out << "\",\"ph\":\"X\",\"ts\":" << ev.ts << ",\"dur\":" << ev.dur
+      out << ",{\"name\":" << support::JsonEscape(ev.name) << ",\"cat\":"
+          << support::JsonEscape(ev.cat.empty() ? "certkit" : ev.cat)
+          << ",\"ph\":\"X\",\"ts\":" << ev.ts << ",\"dur\":" << ev.dur
           << ",\"pid\":0,\"tid\":" << t;
       if (include_timing) {
         char buf[64];

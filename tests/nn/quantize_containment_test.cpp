@@ -1,17 +1,16 @@
-// Non-finite containment of the quantization path (the FakeQuantizeTensor
-// bug sweep) plus the int8-vs-fp32 accuracy gate.
+// Non-finite containment of ConvLayer's int8 path plus the int8-vs-fp32
+// accuracy gate.
 //
 // Bug class under test: a NaN or ±inf activation makes amax — and therefore
-// the int8 scale — undefined; the original FakeQuantizeTensor computed
-// scale = inf / 127 and rewrote the WHOLE tensor to NaN, laundering a
-// single bad sensor value into total detector blindness before the safety
-// layer's range monitor could see it. The contract now: any non-finite
-// input (and the degenerate all-zero tensor) disables quantization for that
-// call — FakeQuantizeTensor is a no-op, ConvLayer falls through to the
-// bit-exact fp32 path — so the original values reach the monitors intact.
-// The replay differential oracle pins the same behavior end-to-end: a
-// quantized replay arm must diverge from fp32 only through the int8 grid,
-// never through containment-path differences.
+// the int8 scale — undefined; a quantizer that computed scale = inf / 127
+// would rewrite the WHOLE tensor to NaN, laundering a single bad sensor
+// value into total detector blindness before the safety layer's range
+// monitor could see it. The contract: any non-finite input (and the
+// degenerate all-zero tensor) disables quantization for that call —
+// ConvLayer falls through to the bit-exact fp32 path — so the original
+// values reach the monitors intact. The replay differential oracle pins the
+// same behavior end-to-end: a quantized replay arm must diverge from fp32
+// only through the int8 grid, never through containment-path differences.
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -35,50 +34,11 @@ nn::Tensor MakeInput(int c, int h, int w, std::uint64_t seed) {
   return t;
 }
 
-TEST(QuantizeContainment, FakeQuantizeSkipsTensorsWithNonFiniteValues) {
-  for (const float poison : {kNan, kInf, -kInf}) {
-    nn::Tensor t = MakeInput(2, 4, 4, 99u);
-    std::vector<float> original(t.data(), t.data() + t.size());
-    t.data()[7] = poison;
-    original[7] = poison;
-
-    nn::FakeQuantizeTensor(&t);
-
-    // Bitwise no-op: every value, including the poison itself, unchanged.
-    EXPECT_EQ(std::memcmp(t.data(), original.data(),
-                          t.size() * sizeof(float)),
-              0)
-        << "FakeQuantizeTensor modified a tensor containing " << poison;
-  }
-}
-
-TEST(QuantizeContainment, FakeQuantizeSkipsAllZeroTensor) {
-  nn::Tensor t(1, 1, 3, 3);  // zero-initialized
-  nn::FakeQuantizeTensor(&t);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_EQ(t.data()[i], 0.0f);
-  }
-}
-
-TEST(QuantizeContainment, FakeQuantizeSnapsFiniteTensorToInt8Grid) {
-  nn::Tensor t = MakeInput(1, 5, 5, 3u);
-  float amax = 0.0f;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    amax = std::max(amax, std::fabs(t.data()[i]));
-  }
-  nn::FakeQuantizeTensor(&t);
-  const float scale = amax / 127.0f;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const float steps = t.data()[i] / scale;
-    EXPECT_NEAR(steps, std::round(steps), 1e-3f)
-        << "value not on the int8 grid at index " << i;
-  }
-}
-
 // A quantized ConvLayer fed a non-finite input must produce the EXACT fp32
 // result (containment = fall through, not "quantize around the hole"), and
 // the non-finite value must propagate to the output where the range monitor
-// can reject it.
+// can reject it. An all-zero input has no usable scale and falls through the
+// same way.
 TEST(QuantizeContainment, ConvFallsBackToFp32BitExactOnNonFiniteInput) {
   const int in_c = 3, out_c = 6, k = 3;
   std::vector<float> weights(static_cast<std::size_t>(out_c) * in_c * k * k);
@@ -91,25 +51,34 @@ TEST(QuantizeContainment, ConvFallsBackToFp32BitExactOnNonFiniteInput) {
                       nn::Backend::kCpuNaive);
   quant.SetInputQuantization(true);
 
-  nn::Tensor input = MakeInput(in_c, 12, 12, 42u);
-  input.At(0, 1, 6, 6) = kNan;
+  const auto expect_fp32 = [&](const nn::Tensor& input, const char* what) {
+    nn::Tensor want, got;
+    fp32.ForwardInto(input, &want);
+    quant.ForwardInto(input, &got);
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "quantized layer did not fall back to the bit-exact fp32 path on "
+        << what;
+    return got;
+  };
 
-  nn::Tensor want, got;
-  fp32.ForwardInto(input, &want);
-  quant.ForwardInto(input, &got);
+  for (const float poison : {kNan, kInf, -kInf}) {
+    nn::Tensor input = MakeInput(in_c, 12, 12, 42u);
+    input.At(0, 1, 6, 6) = poison;
+    const nn::Tensor got = expect_fp32(input, "a non-finite input");
 
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                        got.size() * sizeof(float)),
-            0)
-      << "quantized layer did not fall back to the bit-exact fp32 path";
-
-  bool saw_non_finite = false;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (!std::isfinite(got.data()[i])) saw_non_finite = true;
+    bool saw_non_finite = false;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!std::isfinite(got.data()[i])) saw_non_finite = true;
+    }
+    EXPECT_TRUE(saw_non_finite)
+        << "the poison value " << poison
+        << " was laundered instead of propagated";
   }
-  EXPECT_TRUE(saw_non_finite)
-      << "the poison value was laundered instead of propagated";
+
+  expect_fp32(nn::Tensor(1, in_c, 12, 12), "an all-zero input");
 }
 
 // Accuracy gate for the true int8 path: on finite inputs the quantized

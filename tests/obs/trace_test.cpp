@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_validate.h"
+#include "support/json.h"
 #include "timing/timing.h"
 
 namespace certkit::obs {
@@ -247,6 +248,31 @@ TEST(MetricsJsonTest, TimingFieldsAreGated) {
   const std::string full = MetricsJson(snapshot, /*include_timing=*/true);
   EXPECT_NE(full.find("\"buckets\""), std::string::npos);
   EXPECT_NE(full.find("\"sum\""), std::string::npos);
+}
+
+// Metric names are written as JSON strings: a quote, a backslash or a
+// control character in a name must survive the export → parse round trip
+// for every metric kind, not break the document.
+TEST(MetricsJsonTest, NamesAreEscaped) {
+  const std::string name = "a\"b\\c\x01";
+  auto& registry = MetricsRegistry::Instance();
+  registry.GetCounter(name).Add(2);
+  registry.GetGauge(name).Set(1.5);
+  registry.GetHistogram(name, {1.0}).Record(0.5);
+  timing::TimerRegistry::Instance().GetOrCreate(name);
+
+  support::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(support::ParseJson(MetricsJson(registry.Snapshot(), true), &doc,
+                                 &error))
+      << error;
+  const support::JsonValue* metrics = doc.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  for (const char* kind : {"counters", "gauges", "histograms", "timers"}) {
+    const support::JsonValue* group = metrics->Find(kind);
+    ASSERT_NE(group, nullptr) << kind;
+    EXPECT_NE(group->Find(name), nullptr) << kind << " lost the name";
+  }
 }
 
 TEST(ChromeTraceJsonTest, ExportValidatesWithAndWithoutTiming) {
