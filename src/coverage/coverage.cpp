@@ -139,6 +139,22 @@ ThreadDecision& DecisionOf(SlotTable* t, int decision_id,
   return t->decisions[index];
 }
 
+// Marks the vector (mask, outcome) in this thread's table of one decision.
+// Returns true when the Unit does not have it yet since the table's epoch,
+// i.e. when the caller must publish it.
+bool MarkVector(ThreadDecision* dec, std::uint64_t mask, bool outcome) {
+  auto it = std::find_if(dec->vectors.begin(), dec->vectors.end(),
+                         [&](const VectorMark& v) {
+                           return v.mask == mask && v.outcome == outcome;
+                         });
+  if (it == dec->vectors.end()) {
+    it = dec->vectors.insert(it, VectorMark{mask, outcome, 0});
+  }
+  const bool publish = (it->marks & kPublished) == 0;
+  it->marks |= Wanted();
+  return publish;
+}
+
 // Test-before-set: a hit flag is written once, then only read, so the
 // probes on every pipeline stage share its cache line without bouncing it.
 void MarkHit(std::atomic<bool>* hit) {
@@ -257,7 +273,12 @@ bool Unit::Cond(int decision_id, int index, bool value) {
   if (!ProbesEnabled()) return value;
   CERTKIT_CHECK(decision_id >= 0 &&
                 decision_id < static_cast<int>(decisions_.size()));
-  CERTKIT_CHECK(index >= 0 && index < 64);
+  CERTKIT_CHECK_MSG(
+      index >= 0 &&
+          index < decisions_[static_cast<std::size_t>(decision_id)]
+                      .num_conditions,
+      "condition " << index << " out of range for decision " << decision_id
+                   << " in unit " << name_);
   SlotTable& t =
       Local(this, slot_, birth_, epoch_.load(std::memory_order_acquire));
   std::uint64_t& mask =
@@ -279,27 +300,35 @@ bool Unit::Dec(int decision_id, bool outcome) {
   ThreadDecision& dec = DecisionOf(&t, decision_id, decisions_.size());
   const std::uint64_t mask = dec.pending;
   dec.pending = 0;
-  auto it = std::find_if(dec.vectors.begin(), dec.vectors.end(),
-                         [&](const VectorMark& v) {
-                           return v.mask == mask && v.outcome == outcome;
-                         });
-  if (it == dec.vectors.end()) {
-    it = dec.vectors.insert(it, VectorMark{mask, outcome, 0});
-  }
-  const std::uint8_t want = Wanted();
-  if ((it->marks & want) == want) return outcome;
-  if ((it->marks & kPublished) == 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    DecisionCover& rec = decisions_[static_cast<std::size_t>(decision_id)];
-    if (outcome) {
-      rec.seen_true = true;
-    } else {
-      rec.seen_false = true;
-    }
-    rec.vectors.insert({mask, outcome});
-  }
-  it->marks |= want;
+  if (MarkVector(&dec, mask, outcome)) Publish(decision_id, mask, outcome);
   return outcome;
+}
+
+void Unit::Vector(int decision_id, std::uint64_t mask, bool outcome) {
+  if (!ProbesEnabled()) return;
+  CERTKIT_CHECK(decision_id >= 0 &&
+                decision_id < static_cast<int>(decisions_.size()));
+  const int conditions =
+      decisions_[static_cast<std::size_t>(decision_id)].num_conditions;
+  CERTKIT_CHECK_MSG(conditions == 64 || (mask >> conditions) == 0,
+                    "vector mask " << mask << " has bits beyond the "
+                                   << conditions << " conditions of decision "
+                                   << decision_id << " in unit " << name_);
+  SlotTable& t =
+      Local(this, slot_, birth_, epoch_.load(std::memory_order_acquire));
+  ThreadDecision& dec = DecisionOf(&t, decision_id, decisions_.size());
+  if (MarkVector(&dec, mask, outcome)) Publish(decision_id, mask, outcome);
+}
+
+void Unit::Publish(int decision_id, std::uint64_t mask, bool outcome) {
+  std::lock_guard<std::mutex> lock(mu_);
+  DecisionCover& rec = decisions_[static_cast<std::size_t>(decision_id)];
+  if (outcome) {
+    rec.seen_true = true;
+  } else {
+    rec.seen_false = true;
+  }
+  rec.vectors.insert({mask, outcome});
 }
 
 bool Unit::Branch(int decision_id, bool outcome) {

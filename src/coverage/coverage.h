@@ -15,13 +15,20 @@
 // evaluated eagerly (no short-circuit), which is the standard trade-off of
 // source-level instrumentation and is documented in DESIGN.md.
 //
+// Coverage facts are sets: statement ids and distinct (condition mask,
+// outcome) vectors per decision. Order and multiplicity never reach a
+// cover or a ratio, so a hot loop may accumulate its facts in locals and
+// publish each distinct one once per call (Vector, RecordVectors, Stmt)
+// instead of probing every element.
+//
 // Thread safety: declarations (Declare*) finish before probes on the same
 // Unit run concurrently. Probes may then fire from any number of threads
 // (the campaign fleet and the GPU-on-CPU layer do). Each thread keeps its
 // own dense table per Unit, so a probe takes the Unit's lock only on this
 // thread's first sighting of a fact since the Unit's last Reset(); every
-// later hit stays thread-local. Function and call probes are lock-free
-// atomic flags.
+// later hit stays thread-local. Stmt, Dec and Vector share that path, so a
+// summarized loop is attributed to a ThreadCapture exactly like a probed
+// one. Function and call probes are lock-free atomic flags.
 #ifndef CERTKIT_COVERAGE_COVERAGE_H_
 #define CERTKIT_COVERAGE_COVERAGE_H_
 
@@ -108,13 +115,20 @@ class Unit {
   // --- probes (during execution) ---
   // Marks statement `id` executed.
   void Stmt(int id);
-  // Records condition `index` of decision `decision_id` as `value`;
-  // returns `value` so probes compose inline.
+  // Records condition `index` (< the decision's declared conditions) of
+  // decision `decision_id` as `value`; returns `value` so probes compose
+  // inline.
   bool Cond(int decision_id, int index, bool value);
   // Records the decision outcome (with the condition vector accumulated by
   // Cond calls on this thread since the last Dec for this decision);
   // returns `outcome`.
   bool Dec(int decision_id, bool outcome);
+  // Records the evaluation vector (`mask`, `outcome`) directly: the same
+  // fact as Cond calls setting exactly the bits of `mask` followed by
+  // Dec(decision_id, outcome). `mask` must be below 2^conditions. Pending
+  // Cond bits are left alone. This is how a hot loop publishes the vectors
+  // it accumulated in locals, once per call.
+  void Vector(int decision_id, std::uint64_t mask, bool outcome);
 
   // Convenience for single-condition decisions: records condition 0 and the
   // outcome in one call.
@@ -160,6 +174,9 @@ class Unit {
     std::atomic<bool> hit{false};
   };
 
+  // Writes a vector this thread is the first to see since the last Reset.
+  void Publish(int decision_id, std::uint64_t mask, bool outcome);
+
   std::string name_;
   // Identity and per-thread table index. `birth_` is the epoch drawn at
   // construction; `slot_` is dense and reused after the Unit is destroyed.
@@ -174,6 +191,28 @@ class Unit {
   std::deque<NamedProbe> functions_;  // deque: hit flags never move
   std::deque<NamedProbe> calls_;
 };
+
+// Outcome tables for RecordVectors: bit m is the decision's outcome when
+// its condition mask is m.
+inline constexpr std::uint32_t kOutcomeIsCondition = 0b10;  // c0
+inline constexpr std::uint32_t kOutcomeAnd2 = 0b1000;       // c0 && c1
+inline constexpr std::uint32_t kOutcomeOr2 = 0b1110;        // c0 || c1
+
+// Publishes the distinct evaluation vectors a loop saw for one decision of
+// at most five conditions: for every condition mask m whose bit is set in
+// `seen`, the vector (m, bit m of `outcomes`), and the statement that
+// outcome leads to (`stmt_true` or `stmt_false`; -1 when it leads to none).
+inline void RecordVectors(Unit* unit, int decision_id, std::uint32_t seen,
+                          std::uint32_t outcomes, int stmt_true = -1,
+                          int stmt_false = -1) {
+  for (std::uint32_t m = 0; m < 32 && (seen >> m) != 0; ++m) {
+    if (((seen >> m) & 1u) == 0) continue;
+    const bool outcome = ((outcomes >> m) & 1u) != 0;
+    unit->Vector(decision_id, m, outcome);
+    const int stmt = outcome ? stmt_true : stmt_false;
+    if (stmt >= 0) unit->Stmt(stmt);
+  }
+}
 
 // Process-wide registry of units, keyed by name.
 class Registry {

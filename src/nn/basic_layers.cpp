@@ -1,7 +1,9 @@
 // BatchNorm, activation, max-pool, and upsample layers, each with its own
 // coverage unit (they model distinct files of the YOLO implementation).
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "coverage/coverage.h"
 #include "nn/layers.h"
@@ -41,55 +43,30 @@ void BatchNormLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   CERTKIT_CHECK_MSG(input.c() == static_cast<int>(scale_.size()),
                     "batchnorm channel mismatch");
   out_t->Reshape(input.n(), input.c(), input.h(), input.w());
-  Tensor& out = *out_t;
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release-flavor fast path: identical arithmetic with the probe calls
-    // compiled out of the loop (they are per-channel here, but the loop
-    // body must stay branch-free for the vectorizer). The probed loop
-    // below is the instrumented flavor.
-    const std::size_t hw =
-        static_cast<std::size_t>(input.h()) * input.w();
-    for (int n = 0; n < input.n(); ++n) {
-      for (int c = 0; c < input.c(); ++c) {
-        const float s = scale_[static_cast<std::size_t>(c)];
-        const float b = shift_[static_cast<std::size_t>(c)];
-        const float* in = input.data() +
-                          (static_cast<std::size_t>(n) * input.c() + c) * hw;
-        float* o = out.data() +
-                   (static_cast<std::size_t>(n) * input.c() + c) * hw;
-        if (s == 1.0f && b == 0.0f) {
-          for (std::size_t i = 0; i < hw; ++i) o[i] = in[i];
-        } else {
-          for (std::size_t i = 0; i < hw; ++i) o[i] = s * in[i] + b;
-        }
-      }
-    }
-    return;
-  }
+  const std::size_t hw = static_cast<std::size_t>(input.h()) * input.w();
+  std::uint32_t seen = 0;  // d_identity condition masks evaluated
   for (int n = 0; n < input.n(); ++n) {
     for (int c = 0; c < input.c(); ++c) {
       const float s = scale_[static_cast<std::size_t>(c)];
       const float b = shift_[static_cast<std::size_t>(c)];
-      const bool c_scale1 = p.u->Cond(p.d_identity, 0, s == 1.0f);
-      const bool c_shift0 = p.u->Cond(p.d_identity, 1, b == 0.0f);
-      if (p.u->Dec(p.d_identity, c_scale1 && c_shift0)) {
+      const unsigned mask = static_cast<unsigned>(s == 1.0f) |
+                            static_cast<unsigned>(b == 0.0f) << 1;
+      seen |= 1u << mask;
+      const std::size_t plane =
+          (static_cast<std::size_t>(n) * input.c() + c) * hw;
+      const float* in = input.data() + plane;
+      float* o = out_t->data() + plane;
+      if (mask == 3) {
         // Identity channel: copy without FMA (fast path).
-        p.u->Stmt(BnProbes::kSIdentityFast);
-        for (int y = 0; y < input.h(); ++y) {
-          for (int x = 0; x < input.w(); ++x) {
-            out.At(n, c, y, x) = input.At(n, c, y, x);
-          }
-        }
+        for (std::size_t i = 0; i < hw; ++i) o[i] = in[i];
       } else {
-        p.u->Stmt(BnProbes::kSApply);
-        for (int y = 0; y < input.h(); ++y) {
-          for (int x = 0; x < input.w(); ++x) {
-            out.At(n, c, y, x) = s * input.At(n, c, y, x) + b;
-          }
-        }
+        for (std::size_t i = 0; i < hw; ++i) o[i] = s * in[i] + b;
       }
     }
   }
+  certkit::cov::RecordVectors(p.u, p.d_identity, seen,
+                              certkit::cov::kOutcomeAnd2,
+                              BnProbes::kSIdentityFast, BnProbes::kSApply);
 }
 
 // --------------------------------------------------------------- activation
@@ -130,56 +107,36 @@ void ActivationLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   out_t->Reshape(input.n(), input.c(), input.h(), input.w());
   const float* in = input.data();
   float* o = out_t->data();
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release-flavor fast path: the probed loop below fires two probes per
-    // element, which dominates an elementwise layer once coverage is off.
-    // Same selects, same arithmetic, vectorizable.
-    const std::size_t size = input.size();
-    switch (kind_) {
-      case Activation::kLinear:
-        std::copy(in, in + size, o);
-        break;
-      case Activation::kRelu:
-        for (std::size_t i = 0; i < size; ++i) {
-          const float v = in[i];
-          o[i] = v < 0.0f ? 0.0f : v;
-        }
-        break;
-      case Activation::kLeakyRelu:
-        for (std::size_t i = 0; i < size; ++i) {
-          const float v = in[i];
-          o[i] = v < 0.0f ? leaky_slope_ * v : v;
-        }
-        break;
-    }
-    return;
-  }
+  const std::size_t size = input.size();
   if (p.u->Branch(p.d_linear, kind_ == Activation::kLinear)) {
     p.u->Stmt(ActProbes::kSLinear);
-    std::copy(in, in + input.size(), o);
+    std::copy(in, in + size, o);
     return;
   }
-  const bool is_relu =
-      p.u->Branch(p.d_relu, kind_ == Activation::kRelu);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const float v = in[i];
-    if (p.u->Branch(p.d_negative, v < 0.0f)) {
-      if (is_relu) {
-        p.u->Stmt(ActProbes::kSReluClamp);
-        o[i] = 0.0f;
-      } else {
-        p.u->Stmt(ActProbes::kSLeakyScale);
-        o[i] = leaky_slope_ * v;
-      }
-    } else {
-      if (is_relu) {
-        p.u->Stmt(ActProbes::kSReluPass);
-      } else {
-        p.u->Stmt(ActProbes::kSLeakyPass);
-      }
-      o[i] = v;
-    }
+  const bool is_relu = p.u->Branch(p.d_relu, kind_ == Activation::kRelu);
+  // The negative-branch value is stored first so that the select below is
+  // branch-free and vectorizes (a product inside the select would not); the
+  // values written are the same.
+  if (is_relu) {
+    std::fill(o, o + size, 0.0f);
+  } else {
+    const float slope = leaky_slope_;
+    for (std::size_t i = 0; i < size; ++i) o[i] = slope * in[i];
   }
+  // d_negative outcomes seen, as OR-reductions of the select's comparison.
+  unsigned negative = 0, pass = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const float v = in[i];
+    const bool neg = v < 0.0f;
+    negative |= static_cast<unsigned>(neg);
+    pass |= static_cast<unsigned>(!neg);
+    o[i] = neg ? o[i] : v;
+  }
+  certkit::cov::RecordVectors(
+      p.u, p.d_negative, pass | negative << 1,
+      certkit::cov::kOutcomeIsCondition,
+      is_relu ? ActProbes::kSReluClamp : ActProbes::kSLeakyScale,
+      is_relu ? ActProbes::kSReluPass : ActProbes::kSLeakyPass);
 }
 
 // ------------------------------------------------------------------ maxpool
@@ -215,43 +172,69 @@ void MaxPoolLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
   CERTKIT_CHECK_MSG(oh > 0 && ow > 0, "pool output would be empty");
   out_t->Reshape(input.n(), input.c(), oh, ow);
   Tensor& out = *out_t;
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release-flavor fast path: the probed loop fires four probes per
-    // window TAP (bounds conditions, decision, max-update branch), which
-    // makes pooling the most expensive layer of the whole detector once
-    // coverage is off. Same traversal order, same comparisons.
-    if (size_ == 2 && stride_ == 2 && input.h() % 2 == 0 &&
-        input.w() % 2 == 0) {
-      // Every pool in the detector is 2×2 stride 2 on even dims, so the
-      // window never rags off the edge and the per-tap bounds checks (and
-      // At()'s index arithmetic) can go. The max is folded in the probed
-      // path's exact tap order from the same -inf seed, so the `v > best`
-      // comparison chain — including its NaN behavior — is unchanged;
-      // that fold is the form the vectorizer maps to maxps.
-      const int iw = input.w();
-      const std::size_t planes =
-          static_cast<std::size_t>(input.n()) * input.c();
-      const float* src = input.data();
-      float* dst = out.data();
-      for (std::size_t pl = 0; pl < planes; ++pl) {
-        const float* in_plane = src + pl * static_cast<std::size_t>(input.h()) * iw;
-        float* out_plane = dst + pl * static_cast<std::size_t>(oh) * ow;
-        for (int y = 0; y < oh; ++y) {
-          const float* r0 = in_plane + static_cast<std::size_t>(2 * y) * iw;
-          const float* r1 = r0 + iw;
-          float* orow = out_plane + static_cast<std::size_t>(y) * ow;
-          for (int x = 0; x < ow; ++x) {
-            float best = -std::numeric_limits<float>::infinity();
-            best = r0[2 * x] > best ? r0[2 * x] : best;
-            best = r0[2 * x + 1] > best ? r0[2 * x + 1] : best;
-            best = r1[2 * x] > best ? r1[2 * x] : best;
-            best = r1[2 * x + 1] > best ? r1[2 * x + 1] : best;
-            orow[x] = best;
-          }
+  // The d_in_bounds vectors seen follow from the shape alone: window taps
+  // sweep rows and columns independently, every row and column has an
+  // in-bounds tap, and a tap falls out of bounds only where the last window
+  // rags past the edge.
+  const bool rag_y = (oh - 1) * stride_ + size_ > input.h();
+  const bool rag_x = (ow - 1) * stride_ + size_ > input.w();
+  // Bit (cy | cx << 1) is the vector with those condition values.
+  const std::uint32_t in_bounds =
+      0b1000u | (rag_y ? 0b0100u : 0u) | (rag_x ? 0b0010u : 0u) |
+      (rag_y && rag_x ? 0b0001u : 0u);
+  // d_better outcomes seen, as OR-reductions of the max fold's comparison
+  // (tracked while `track` is std::true_type).
+  unsigned better = 0, worse = 0;
+  const auto fold = [&](float v, float best, auto track) {
+    const bool gt = v > best;
+    if constexpr (decltype(track)::value) {
+      better |= static_cast<unsigned>(gt);
+      worse |= static_cast<unsigned>(!gt);
+    }
+    return gt ? v : best;
+  };
+  if (size_ == 2 && stride_ == 2 && input.h() % 2 == 0 &&
+      input.w() % 2 == 0) {
+    // Every pool in the detector is 2×2 stride 2 on even dims, so the
+    // window never rags off the edge and the per-tap bounds checks (and
+    // At()'s index arithmetic) can go. The max is folded in the generic
+    // loop's tap order from the same -inf seed, so the `v > best`
+    // comparison chain — including its NaN behavior — is unchanged; that
+    // fold is the form the vectorizer maps to maxps.
+    const auto pool_row = [&](const float* r0, const float* r1, float* orow,
+                              auto track) {
+      for (int x = 0; x < ow; ++x) {
+        float best = -std::numeric_limits<float>::infinity();
+        best = fold(r0[2 * x], best, track);
+        best = fold(r0[2 * x + 1], best, track);
+        best = fold(r1[2 * x], best, track);
+        best = fold(r1[2 * x + 1], best, track);
+        orow[x] = best;
+      }
+    };
+    const std::size_t planes =
+        static_cast<std::size_t>(input.n()) * input.c();
+    const int iw = input.w();
+    const float* src = input.data();
+    float* dst = out.data();
+    for (std::size_t pl = 0; pl < planes; ++pl) {
+      const float* in_plane =
+          src + pl * static_cast<std::size_t>(input.h()) * iw;
+      float* out_plane = dst + pl * static_cast<std::size_t>(oh) * ow;
+      for (int y = 0; y < oh; ++y) {
+        const float* r0 = in_plane + static_cast<std::size_t>(2 * y) * iw;
+        const float* r1 = r0 + iw;
+        float* orow = out_plane + static_cast<std::size_t>(y) * ow;
+        // Once both outcomes are seen no later window can add a fact, so
+        // the remaining rows fold without the bookkeeping.
+        if ((better & worse) != 0) {
+          pool_row(r0, r1, orow, std::false_type{});
+        } else {
+          pool_row(r0, r1, orow, std::true_type{});
         }
       }
-      return;
     }
+  } else {
     for (int n = 0; n < input.n(); ++n) {
       for (int c = 0; c < input.c(); ++c) {
         for (int y = 0; y < oh; ++y) {
@@ -259,12 +242,12 @@ void MaxPoolLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
             float best = -std::numeric_limits<float>::infinity();
             for (int ky = 0; ky < size_; ++ky) {
               const int iy = y * stride_ + ky;
-              if (iy >= input.h()) continue;
+              if (iy >= input.h()) continue;  // ragged edge: skip
               for (int kx = 0; kx < size_; ++kx) {
                 const int ix = x * stride_ + kx;
                 if (ix >= input.w()) continue;
-                const float v = input.At(n, c, iy, ix);
-                if (v > best) best = v;
+                best =
+                    fold(input.At(n, c, iy, ix), best, std::true_type{});
               }
             }
             out.At(n, c, y, x) = best;
@@ -272,37 +255,14 @@ void MaxPoolLayer::ForwardInto(const Tensor& input, Tensor* out_t) {
         }
       }
     }
-    return;
   }
-  for (int n = 0; n < input.n(); ++n) {
-    for (int c = 0; c < input.c(); ++c) {
-      for (int y = 0; y < oh; ++y) {
-        for (int x = 0; x < ow; ++x) {
-          p.u->Stmt(PoolProbes::kSWindow);
-          float best = -std::numeric_limits<float>::infinity();
-          for (int ky = 0; ky < size_; ++ky) {
-            for (int kx = 0; kx < size_; ++kx) {
-              const int iy = y * stride_ + ky;
-              const int ix = x * stride_ + kx;
-              const bool cy = p.u->Cond(p.d_in_bounds, 0, iy < input.h());
-              const bool cx = p.u->Cond(p.d_in_bounds, 1, ix < input.w());
-              if (!p.u->Dec(p.d_in_bounds, cy && cx)) {
-                // Ragged edge (stride does not divide the input): skip.
-                p.u->Stmt(PoolProbes::kSOutOfBounds);
-                continue;
-              }
-              const float v = input.At(n, c, iy, ix);
-              if (p.u->Branch(p.d_better, v > best)) {
-                p.u->Stmt(PoolProbes::kSUpdateMax);
-                best = v;
-              }
-            }
-          }
-          out.At(n, c, y, x) = best;
-        }
-      }
-    }
-  }
+  p.u->Stmt(PoolProbes::kSWindow);
+  certkit::cov::RecordVectors(p.u, p.d_in_bounds, in_bounds,
+                              certkit::cov::kOutcomeAnd2, -1,
+                              PoolProbes::kSOutOfBounds);
+  certkit::cov::RecordVectors(p.u, p.d_better, worse | better << 1,
+                              certkit::cov::kOutcomeIsCondition,
+                              PoolProbes::kSUpdateMax);
 }
 
 // ----------------------------------------------------------------- upsample

@@ -1,5 +1,6 @@
 // Detection decoding: head tensor -> thresholded, clamped detections.
 #include <cmath>
+#include <cstdint>
 
 #include "coverage/coverage.h"
 #include "nn/detector.h"
@@ -36,8 +37,8 @@ DecProbes& P() {
 float Sigmoid(float v) { return 1.0f / (1.0f + std::exp(-v)); }
 
 // Decodes one image of the (possibly batched) head tensor, appending to
-// `out`. Shared by the flat and the per-image decoders so both fire the
-// same probes and produce bit-identical boxes.
+// `out`. Shared by the flat and the per-image decoders so both record the
+// same coverage facts and produce bit-identical boxes.
 void DecodeImage(const Tensor& head, const DetectorConfig& config, int n,
                  std::vector<Detection>* out) {
   DecProbes& p = P();
@@ -48,16 +49,14 @@ void DecodeImage(const Tensor& head, const DetectorConfig& config, int n,
   const float cell_w =
       static_cast<float>(config.input_w) / static_cast<float>(grid_w);
 
+  // Condition masks evaluated per decision, published after the loop.
+  std::uint32_t above = 0, clamp = 0, better = 0;
   for (int gy = 0; gy < grid_h; ++gy) {
     for (int gx = 0; gx < grid_w; ++gx) {
-      p.u->Stmt(DecProbes::kSCell);
       const float objectness = Sigmoid(head.At(n, 4, gy, gx));
-      if (!p.u->Branch(p.d_above_threshold,
-                       objectness >= config.score_threshold)) {
-        p.u->Stmt(DecProbes::kSReject);
-        continue;
-      }
-      p.u->Stmt(DecProbes::kSAccept);
+      const bool accept = objectness >= config.score_threshold;
+      above |= 1u << static_cast<unsigned>(accept);
+      if (!accept) continue;
 
       Detection det;
       det.x = (gx + Sigmoid(head.At(n, 0, gy, gx))) * cell_w;
@@ -68,16 +67,15 @@ void DecodeImage(const Tensor& head, const DetectorConfig& config, int n,
 
       // Clamp boxes that extend past the image border (cells at the
       // edges with large predicted sizes).
-      const bool out_x = p.u->Cond(
-          p.d_clamp, 0,
+      const bool out_x =
           det.x - det.w / 2 < 0.0f ||
-              det.x + det.w / 2 > static_cast<float>(config.input_w));
-      const bool out_y = p.u->Cond(
-          p.d_clamp, 1,
+          det.x + det.w / 2 > static_cast<float>(config.input_w);
+      const bool out_y =
           det.y - det.h / 2 < 0.0f ||
-              det.y + det.h / 2 > static_cast<float>(config.input_h));
-      if (p.u->Dec(p.d_clamp, out_x || out_y)) {
-        p.u->Stmt(DecProbes::kSClampApplied);
+          det.y + det.h / 2 > static_cast<float>(config.input_h);
+      clamp |= 1u << (static_cast<unsigned>(out_x) |
+                      static_cast<unsigned>(out_y) << 1);
+      if (out_x || out_y) {
         const float x0 = std::max(0.0f, det.x - det.w / 2);
         const float y0 = std::max(0.0f, det.y - det.h / 2);
         const float x1 = std::min(static_cast<float>(config.input_w),
@@ -97,8 +95,9 @@ void DecodeImage(const Tensor& head, const DetectorConfig& config, int n,
       float best_score = head.At(n, 5, gy, gx);
       for (int c = 1; c < config.num_classes; ++c) {
         const float s = head.At(n, 5 + c, gy, gx);
-        if (p.u->Branch(p.d_class_better, s > best_score)) {
-          p.u->Stmt(DecProbes::kSClassUpdate);
+        const bool update = s > best_score;
+        better |= 1u << static_cast<unsigned>(update);
+        if (update) {
           best_score = s;
           best_cls = c;
         }
@@ -107,6 +106,17 @@ void DecodeImage(const Tensor& head, const DetectorConfig& config, int n,
       out->push_back(det);
     }
   }
+  if (above == 0) return;  // no cells: nothing to publish
+  p.u->Stmt(DecProbes::kSCell);
+  certkit::cov::RecordVectors(p.u, p.d_above_threshold, above,
+                              certkit::cov::kOutcomeIsCondition,
+                              DecProbes::kSAccept, DecProbes::kSReject);
+  certkit::cov::RecordVectors(p.u, p.d_clamp, clamp,
+                              certkit::cov::kOutcomeOr2,
+                              DecProbes::kSClampApplied);
+  certkit::cov::RecordVectors(p.u, p.d_class_better, better,
+                              certkit::cov::kOutcomeIsCondition,
+                              DecProbes::kSClassUpdate);
 }
 
 }  // namespace

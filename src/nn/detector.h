@@ -39,7 +39,7 @@ class Network {
   // Capacity-reusing forward: layers ping-pong between two member scratch
   // tensors and the last layer writes straight into *out, so a warm network
   // never allocates. `out` must not alias `input`. Bit-identical to
-  // Forward (same layer math, same probe sequence).
+  // Forward (same layer math, same coverage facts).
   void ForwardInto(const Tensor& input, Tensor* out);
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
@@ -72,7 +72,7 @@ std::vector<Detection> Nms(std::vector<Detection> detections,
 // In-place NMS: sorts and compacts *detections without allocating (the
 // suppression flags live in thread_local scratch, so concurrent callers —
 // e.g. DetectBatch pool workers — each get their own). Bit-identical
-// results and probe sequence to Nms.
+// results and coverage facts to Nms.
 void NmsInPlace(std::vector<Detection>* detections, float iou_threshold);
 // Intersection-over-union of two center-format boxes.
 float Iou(const Detection& a, const Detection& b);

@@ -1,5 +1,6 @@
 // Non-maximum suppression.
 #include <algorithm>
+#include <cstdint>
 
 #include "coverage/coverage.h"
 #include "nn/detector.h"
@@ -30,45 +31,46 @@ NmsProbes& P() {
   }();
   return p;
 }
-// Release-flavor IoU: the same arithmetic as Iou below with the probe
-// calls compiled out — NMS evaluates O(n²) candidate pairs, so the ~8
-// probe calls per pair dominate the stage once coverage is off.
-inline float IouFast(const Detection& a, const Detection& b) {
-  const float ax0 = a.x - a.w / 2, ax1 = a.x + a.w / 2;
-  const float ay0 = a.y - a.h / 2, ay1 = a.y + a.h / 2;
-  const float bx0 = b.x - b.w / 2, bx1 = b.x + b.w / 2;
-  const float by0 = b.y - b.h / 2, by1 = b.y + b.h / 2;
-  const float dx = std::min(ax1, bx1) - std::max(ax0, bx0);
-  const float dy = std::min(ay1, by1) - std::max(ay0, by0);
-  if (dx <= 0.0f || dy <= 0.0f) return 0.0f;
+
+// A detection's corner coordinates and area, computed once per NMS pass
+// instead of once per pair (same expressions, so the same bits).
+struct Box {
+  float x0, x1, y0, y1, area;
+};
+
+Box BoxOf(const Detection& d) {
+  return {d.x - d.w / 2, d.x + d.w / 2, d.y - d.h / 2, d.y + d.h / 2,
+          d.w * d.h};
+}
+
+// IoU of a and b. Sets *no_overlap to the d_no_overlap condition mask
+// (bit 0: dx <= 0, bit 1: dy <= 0); both conditions are always evaluated.
+inline float IouMasked(const Box& a, const Box& b, unsigned* no_overlap) {
+  const float dx = std::min(a.x1, b.x1) - std::max(a.x0, b.x0);
+  const float dy = std::min(a.y1, b.y1) - std::max(a.y0, b.y0);
+  *no_overlap = static_cast<unsigned>(dx <= 0.0f) |
+                static_cast<unsigned>(dy <= 0.0f) << 1;
+  if (*no_overlap != 0) return 0.0f;
   const float inter = dx * dy;
-  const float uni = a.w * a.h + b.w * b.h - inter;
+  const float uni = a.area + b.area - inter;
   return uni > 0.0f ? inter / uni : 0.0f;
+}
+
+// Publishes the d_no_overlap condition masks in `seen`.
+void RecordOverlap(const NmsProbes& p, std::uint32_t seen) {
+  certkit::cov::RecordVectors(p.u, p.d_no_overlap, seen,
+                              certkit::cov::kOutcomeOr2,
+                              NmsProbes::kSZeroOverlap,
+                              NmsProbes::kSOverlapCompute);
 }
 
 }  // namespace
 
 float Iou(const Detection& a, const Detection& b) {
-  if (!certkit::cov::ProbesEnabled()) return IouFast(a, b);
-  NmsProbes& p = P();
-  const float ax0 = a.x - a.w / 2, ax1 = a.x + a.w / 2;
-  const float ay0 = a.y - a.h / 2, ay1 = a.y + a.h / 2;
-  const float bx0 = b.x - b.w / 2, bx1 = b.x + b.w / 2;
-  const float by0 = b.y - b.h / 2, by1 = b.y + b.h / 2;
-  const float dx = std::min(ax1, bx1) - std::max(ax0, bx0);
-  const float dy = std::min(ay1, by1) - std::max(ay0, by0);
-  const bool no_x = p.u->Cond(p.d_no_overlap, 0, dx <= 0.0f);
-  const bool no_y = p.u->Cond(p.d_no_overlap, 1, dy <= 0.0f);
-  if (p.u->Dec(p.d_no_overlap, no_x || no_y)) {
-    p.u->Stmt(NmsProbes::kSZeroOverlap);
-    return 0.0f;
-  }
-  p.u->Stmt(NmsProbes::kSOverlapCompute);
-  const float inter = dx * dy;
-  const float area_a = a.w * a.h;
-  const float area_b = b.w * b.h;
-  const float uni = area_a + area_b - inter;
-  return uni > 0.0f ? inter / uni : 0.0f;
+  unsigned no_overlap = 0;
+  const float iou = IouMasked(BoxOf(a), BoxOf(b), &no_overlap);
+  RecordOverlap(P(), 1u << no_overlap);
+  return iou;
 }
 
 std::vector<Detection> Nms(std::vector<Detection> detections,
@@ -89,49 +91,43 @@ void NmsInPlace(std::vector<Detection>* detections, float iou_threshold) {
               if (a.x != b.x) return a.x < b.x;
               return a.cls < b.cls;
             });
-  // Suppression flags live in thread_local scratch so pool workers running
-  // per-frame NMS never contend or allocate once warm. Survivors are
+  // Suppression flags and boxes live in thread_local scratch so pool workers
+  // running per-frame NMS never contend or allocate once warm. Survivors are
   // compacted in place: the write cursor trails i, and the inner loop only
   // reads slots > i, so no live element is overwritten before it is read.
   thread_local std::vector<char> suppressed;
+  thread_local std::vector<Box> boxes;
   suppressed.assign(d.size(), 0);
+  boxes.resize(d.size());
+  std::transform(d.begin(), d.end(), boxes.begin(), BoxOf);
   std::size_t kept = 0;
-  if (!certkit::cov::ProbesEnabled()) {
-    // Release flavor: the identical suppress/compact loop with the probe
-    // calls compiled out. A dense decode (hundreds of candidates) makes the
-    // O(n²) pair loop the whole NMS cost when every pair fires probes.
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      if (suppressed[i]) continue;
-      const Detection det = d[i];
-      for (std::size_t j = i + 1; j < d.size(); ++j) {
-        if (suppressed[j]) continue;
-        if (det.cls == d[j].cls && IouFast(det, d[j]) > iou_threshold) {
-          suppressed[j] = 1;
-        }
-      }
-      d[kept++] = det;
-    }
-    d.resize(kept);
-    return;
-  }
+  // Condition masks evaluated per decision, published after the loop. Both
+  // conditions of d_suppress are evaluated eagerly, so a cross-class pair
+  // still computes its IoU and yields its d_no_overlap facts.
+  std::uint32_t suppress = 0, overlap = 0;
   for (std::size_t i = 0; i < d.size(); ++i) {
     if (suppressed[i]) continue;
-    p.u->Stmt(NmsProbes::kSKeep);
     const Detection det = d[i];
     for (std::size_t j = i + 1; j < d.size(); ++j) {
       if (suppressed[j]) continue;
-      const bool same_cls =
-          p.u->Cond(p.d_suppress, 0, det.cls == d[j].cls);
-      const bool over = p.u->Cond(
-          p.d_suppress, 1, Iou(det, d[j]) > iou_threshold);
-      if (p.u->Dec(p.d_suppress, same_cls && over)) {
-        p.u->Stmt(NmsProbes::kSSuppress);
-        suppressed[j] = 1;
-      }
+      const bool same_cls = det.cls == d[j].cls;
+      unsigned no_overlap = 0;
+      const bool over =
+          IouMasked(boxes[i], boxes[j], &no_overlap) > iou_threshold;
+      overlap |= 1u << no_overlap;
+      suppress |= 1u << (static_cast<unsigned>(same_cls) |
+                         static_cast<unsigned>(over) << 1);
+      if (same_cls && over) suppressed[j] = 1;
     }
     d[kept++] = det;
   }
   d.resize(kept);
+  if (kept == 0) return;
+  p.u->Stmt(NmsProbes::kSKeep);
+  certkit::cov::RecordVectors(p.u, p.d_suppress, suppress,
+                              certkit::cov::kOutcomeAnd2,
+                              NmsProbes::kSSuppress);
+  RecordOverlap(p, overlap);
 }
 
 }  // namespace nn

@@ -1,6 +1,7 @@
 // Frame preprocessing: normalization, resize, and letterboxing.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "coverage/coverage.h"
 #include "nn/layers.h"
@@ -34,17 +35,68 @@ PreProbes& P() {
   return p;
 }
 
-// Nearest-neighbour sample of channel c at fractional position. The
-// fractional coordinate must be floored, not truncated: positions just
-// below zero (top/left border under letterboxing, where (y - off) / scale
-// can round a hair negative) must map to the border pixel via the clamp,
-// not be pulled toward it by trunc-toward-zero.
-float Sample(const Tensor& t, int n, int c, float fy, float fx) {
-  int y = static_cast<int>(std::floor(fy));
-  int x = static_cast<int>(std::floor(fx));
-  y = std::clamp(y, 0, t.h() - 1);
-  x = std::clamp(x, 0, t.w() - 1);
-  return t.At(n, c, y, x);
+constexpr float kScale = 1.0f / 255.0f;  // 8-bit pixel values to [0, 1]
+
+// Nearest-neighbour source index for a fractional position along an axis
+// of `extent` samples. The fractional coordinate must be floored, not
+// truncated: positions just below zero (top/left border under
+// letterboxing, where (y - off) / scale can round a hair negative) must map
+// to the border pixel via the clamp, not be pulled toward it by
+// trunc-toward-zero.
+int Nearest(float f, int extent) {
+  return std::clamp(static_cast<int>(std::floor(f)), 0, extent - 1);
+}
+
+// Row y of channel c of image n.
+const float* RowOf(const Tensor& t, int n, int c, int y) {
+  return t.data() +
+         ((static_cast<std::size_t>(n) * t.c() + c) * t.h() + y) * t.w();
+}
+
+// Scales `frame` into `out` preserving its aspect and pads the rest with
+// mid-grey, publishing the d_pad_pixel facts once.
+void Letterbox(const PreProbes& p, const Tensor& frame, Tensor* out_t) {
+  Tensor& out = *out_t;
+  const int target_h = out.h();
+  const int target_w = out.w();
+  const float scale =
+      std::min(static_cast<float>(target_w) / frame.w(),
+               static_cast<float>(target_h) / frame.h());
+  const int new_w = static_cast<int>(frame.w() * scale);
+  const int new_h = static_cast<int>(frame.h() * scale);
+  const int off_x = (target_w - new_w) / 2;
+  const int off_y = (target_h - new_h) / 2;
+  // Every row splits into pad / image / pad column runs: [0, x0) and
+  // [x1, target_w) fail the in_x condition, [x0, x1) passes it.
+  const int x0 = std::clamp(off_x, 0, target_w);
+  const int x1 = std::clamp(off_x + new_w, x0, target_w);
+  const bool pad_cols = x0 > 0 || x1 < target_w;
+  std::uint32_t seen = 0;  // d_pad_pixel condition masks evaluated
+  for (int n = 0; n < frame.n(); ++n) {
+    for (int c = 0; c < frame.c(); ++c) {
+      for (int y = 0; y < target_h; ++y) {
+        const bool in_y = y >= off_y && y < off_y + new_h;
+        if (pad_cols) seen |= 1u << static_cast<unsigned>(in_y);
+        if (x1 > x0) seen |= 1u << (static_cast<unsigned>(in_y) | 2u);
+        float* row = &out.At(n, c, y, 0);
+        if (!in_y) {
+          std::fill(row, row + target_w, 0.5f);
+          continue;
+        }
+        const float* src =
+            RowOf(frame, n, c, Nearest((y - off_y) / scale, frame.h()));
+        std::fill(row, row + x0, 0.5f);
+        for (int x = x0; x < x1; ++x) {
+          row[x] = src[Nearest((x - off_x) / scale, frame.w())] * kScale;
+        }
+        std::fill(row + x1, row + target_w, 0.5f);
+      }
+    }
+  }
+  certkit::cov::RecordVectors(p.u, p.d_pad_pixel, seen,
+                              certkit::cov::kOutcomeAnd2,
+                              PreProbes::kSLetterboxCopy,
+                              PreProbes::kSLetterboxPad);
 }
 
 }  // namespace
@@ -60,7 +112,6 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
   PreProbes& p = P();
   CERTKIT_CHECK(target_h > 0 && target_w > 0);
   CERTKIT_CHECK(out_t != nullptr && out_t != &frame);
-  constexpr float kScale = 1.0f / 255.0f;
 
   const bool hm = p.u->Cond(p.d_same_size, 0, frame.h() == target_h);
   const bool wm = p.u->Cond(p.d_same_size, 1, frame.w() == target_w);
@@ -70,7 +121,8 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
     out_t->Reshape(frame.n(), frame.c(), target_h, target_w);
     const float* in = frame.data();
     float* o = out_t->data();
-    for (std::size_t i = 0; i < frame.size(); ++i) o[i] = in[i] * kScale;
+    const std::size_t size = frame.size();
+    for (std::size_t i = 0; i < size; ++i) o[i] = in[i] * kScale;
     return;
   }
 
@@ -90,9 +142,10 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
     for (int n = 0; n < frame.n(); ++n) {
       for (int c = 0; c < frame.c(); ++c) {
         for (int y = 0; y < target_h; ++y) {
+          const float* src = RowOf(frame, n, c, Nearest(y * sy, frame.h()));
+          float* row = &out.At(n, c, y, 0);
           for (int x = 0; x < target_w; ++x) {
-            out.At(n, c, y, x) =
-                Sample(frame, n, c, y * sy, x * sx) * kScale;
+            row[x] = src[Nearest(x * sx, frame.w())] * kScale;
           }
         }
       }
@@ -103,34 +156,7 @@ void PreprocessInto(const Tensor& frame, int target_h, int target_w,
   // Letterbox: preserve aspect, pad with mid-grey. Typical square scenario
   // frames never reach this path — a deliberate Figure 5 coverage gap.
   p.u->Stmt(PreProbes::kSLetterboxSetup);
-  const float scale =
-      std::min(static_cast<float>(target_w) / frame.w(),
-               static_cast<float>(target_h) / frame.h());
-  const int new_w = static_cast<int>(frame.w() * scale);
-  const int new_h = static_cast<int>(frame.h() * scale);
-  const int off_x = (target_w - new_w) / 2;
-  const int off_y = (target_h - new_h) / 2;
-  for (int n = 0; n < frame.n(); ++n) {
-    for (int c = 0; c < frame.c(); ++c) {
-      for (int y = 0; y < target_h; ++y) {
-        for (int x = 0; x < target_w; ++x) {
-          const bool in_y =
-              p.u->Cond(p.d_pad_pixel, 0, y >= off_y && y < off_y + new_h);
-          const bool in_x =
-              p.u->Cond(p.d_pad_pixel, 1, x >= off_x && x < off_x + new_w);
-          if (p.u->Dec(p.d_pad_pixel, in_y && in_x)) {
-            p.u->Stmt(PreProbes::kSLetterboxCopy);
-            out.At(n, c, y, x) =
-                Sample(frame, n, c, (y - off_y) / scale, (x - off_x) / scale) *
-                kScale;
-          } else {
-            p.u->Stmt(PreProbes::kSLetterboxPad);
-            out.At(n, c, y, x) = 0.5f;
-          }
-        }
-      }
-    }
-  }
+  Letterbox(p, frame, &out);
 }
 
 }  // namespace nn

@@ -13,7 +13,10 @@
 // hooks are not linked there (tests/CMakeLists.txt gates the
 // target_sources); the zero-allocation assertions are skipped and the test
 // degrades to a functional smoke run.
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "ad/pipeline.h"
@@ -132,6 +135,58 @@ TEST(TickPerf, CapturedSteadyStateTickAllocatesNothing) {
         << steady_allocs << " times (backend/quantization: " << tc.name
         << ")";
   }
+}
+
+// Probes on or off, the detector runs the same loops: DetectInto must write
+// the same detections bit for bit, for every backend and weight flavor, on
+// a plain frame, a frame salted with NaN, and a letterboxed frame.
+TEST(TickPerf, DetectionsIdenticalWithProbesOnAndOff) {
+  const auto bits = [](const std::vector<nn::Detection>& dets) {
+    std::vector<std::uint32_t> out;
+    for (const nn::Detection& d : dets) {
+      for (const float f : {d.x, d.y, d.w, d.h, d.score}) {
+        out.push_back(std::bit_cast<std::uint32_t>(f));
+      }
+      out.push_back(static_cast<std::uint32_t>(d.cls));
+    }
+    return out;
+  };
+  std::vector<nn::Tensor> frames;
+  for (const int w : {64, 128}) {
+    nn::Tensor frame(1, 3, 64, w);
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      frame.data()[i] = static_cast<float>((i * 7 + (i / 97) * 31) % 256);
+    }
+    frames.push_back(frame);
+  }
+  nn::Tensor nan_frame = frames[0];
+  for (std::size_t i = 0; i < nan_frame.size(); i += 211) {
+    nan_frame.data()[i] = std::numeric_limits<float>::quiet_NaN();
+  }
+  frames.push_back(nan_frame);
+
+  for (const TickCase& tc : kTickCases) {
+    nn::DetectorConfig config;
+    config.input_h = config.input_w = 64;
+    config.num_classes = 2;
+    config.backend = tc.backend;
+    nn::TinyYoloDetector detector(config);
+    nn::InitBlobDetectorWeights(&detector);
+    if (tc.quantized) nn::QuantizeDetectorWeights(&detector);
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      SCOPED_TRACE(testing::Message() << tc.name << " frame " << f);
+      std::vector<nn::Detection> on, off;
+      certkit::cov::SetProbesEnabled(true);
+      detector.DetectInto(frames[f], &on);
+      certkit::cov::SetProbesEnabled(false);
+      detector.DetectInto(frames[f], &off);
+      EXPECT_EQ(bits(on), bits(off));
+      if (f == 0) {
+        EXPECT_FALSE(on.empty());
+      }
+    }
+  }
+  certkit::cov::SetProbesEnabled(true);
 }
 
 TEST(TickPerf, DetectorBatchEntryAllocatesNothingWarm) {

@@ -257,6 +257,63 @@ TEST(CoverageConcurrencyTest, PerThreadCapturesSeeOnlyTheirOwnFacts) {
   EXPECT_DOUBLE_EQ(u.StatementCoverage(), 1.0);
 }
 
+// Vector records exactly the fact Cond calls plus Dec would, through the
+// same publish and capture path, and leaves pending Cond bits alone.
+TEST(CoverageTest, VectorRecordsTheFactCondAndDecWould) {
+  Unit probed("vector/probed");
+  Unit direct("vector/direct");
+  const int dp = probed.DeclareDecision(3);
+  const int dd = direct.DeclareDecision(3);
+  ThreadCapture capture;
+  for (const std::uint64_t mask : {0b101u, 0b111u, 0b101u}) {
+    for (int c = 0; c < 3; ++c) probed.Cond(dp, c, ((mask >> c) & 1) != 0);
+    probed.Dec(dp, mask == 0b111u);
+    direct.Vector(dd, mask, mask == 0b111u);
+  }
+  EXPECT_EQ(probed.TakeCover(), direct.TakeCover());
+  const CoverSet got = capture.Take();
+  EXPECT_EQ(got.at("vector/probed"), got.at("vector/direct"));
+
+  // Pending bits survive a Vector on the same decision.
+  direct.Cond(dd, 1, true);
+  direct.Vector(dd, 0b001u, false);
+  direct.Dec(dd, false);
+  EXPECT_EQ(direct.TakeCover().decisions.at(dd).vectors,
+            (std::set<std::pair<std::uint64_t, bool>>{
+                {0b001u, false}, {0b010u, false}, {0b101u, false},
+                {0b111u, true}}));
+
+  // And a Reset makes a known vector publish again.
+  direct.Reset();
+  direct.Vector(dd, 0b111u, true);
+  EXPECT_DOUBLE_EQ(direct.BranchCoverage(), 0.5);
+}
+
+// Probe misuse is a contract violation; escaping a noexcept frame, it ends
+// the process. Condition indices and vector masks are checked against the
+// decision's declared condition count, not only against 64.
+TEST(CoverageDeathTest, CondIndexBeyondDeclaredConditionsDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Unit u("death/cond");
+  const int d = u.DeclareDecision(2);
+  u.Cond(d, 1, true);  // the last declared condition
+  EXPECT_DEATH([&]() noexcept { u.Cond(d, 2, true); }(),
+               "condition 2 out of range for decision");
+  EXPECT_DEATH([&]() noexcept { u.Cond(d, -1, true); }(),
+               "condition -1 out of range for decision");
+}
+
+TEST(CoverageDeathTest, VectorMaskBeyondDeclaredConditionsDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Unit u("death/vector");
+  const int d = u.DeclareDecision(2);
+  const int wide = u.DeclareDecision(64);
+  u.Vector(d, 0b11u, true);     // the largest 2-condition mask
+  u.Vector(wide, ~0ULL, true);  // every bit of a 64-condition mask
+  EXPECT_DEATH([&]() noexcept { u.Vector(d, 0b100u, true); }(),
+               "vector mask 4 has bits beyond the 2 conditions");
+}
+
 // The publish-once cache must not outlive a Reset: the same thread firing
 // the same facts after Reset() makes them visible in the Unit again.
 TEST(CoverageConcurrencyTest, ResetMakesKnownFactsPublishAgain) {
