@@ -36,6 +36,7 @@
 #include "kernels/conv.h"
 #include "nn/detector.h"
 #include "support/flags.h"
+#include "support/fnv.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -115,22 +116,16 @@ bool SameDetections(const std::vector<nn::Detection>& a,
 
 // FNV-1a over the detection payload of all frames.
 std::uint64_t Digest(const std::vector<std::vector<nn::Detection>>& all) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
-    }
-  };
+  using certkit::support::FnvBytes;
+  std::uint64_t h = certkit::support::kFnvOffsetBasis;
   for (const auto& dets : all) {
     for (const nn::Detection& d : dets) {
-      mix(&d.x, sizeof(d.x));
-      mix(&d.y, sizeof(d.y));
-      mix(&d.w, sizeof(d.w));
-      mix(&d.h, sizeof(d.h));
-      mix(&d.score, sizeof(d.score));
-      mix(&d.cls, sizeof(d.cls));
+      h = FnvBytes(&d.x, sizeof(d.x), h);
+      h = FnvBytes(&d.y, sizeof(d.y), h);
+      h = FnvBytes(&d.w, sizeof(d.w), h);
+      h = FnvBytes(&d.h, sizeof(d.h), h);
+      h = FnvBytes(&d.score, sizeof(d.score), h);
+      h = FnvBytes(&d.cls, sizeof(d.cls), h);
     }
   }
   return h;

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "support/check.h"
-#include "support/io.h"
 #include "support/strings.h"
 
 namespace certkit::ast {
@@ -1023,24 +1022,6 @@ class Parser {
 
 }  // namespace
 
-const char* CastKindName(CastKind kind) {
-  switch (kind) {
-    case CastKind::kStaticCast:
-      return "static_cast";
-    case CastKind::kDynamicCast:
-      return "dynamic_cast";
-    case CastKind::kReinterpretCast:
-      return "reinterpret_cast";
-    case CastKind::kConstCast:
-      return "const_cast";
-    case CastKind::kCStyle:
-      return "c-style";
-    case CastKind::kFunctional:
-      return "functional";
-  }
-  return "unknown";
-}
-
 support::Result<SourceFileModel> ParseSource(std::string path,
                                              std::string_view source,
                                              const ParseOptions& options) {
@@ -1052,13 +1033,6 @@ support::Result<SourceFileModel> ParseSource(std::string path,
   Parser parser(&model);
   parser.Run();
   return model;
-}
-
-support::Result<SourceFileModel> ParseFile(const std::string& path,
-                                           const ParseOptions& options) {
-  auto content = support::ReadFile(path);
-  if (!content.ok()) return content.status();
-  return ParseSource(path, content.value(), options);
 }
 
 }  // namespace certkit::ast

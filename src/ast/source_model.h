@@ -72,8 +72,6 @@ enum class CastKind {
   kFunctional,   // T(expr) for fundamental types, e.g. int(x)
 };
 
-const char* CastKindName(CastKind kind);
-
 struct CastModel {
   CastKind kind = CastKind::kStaticCast;
   std::int32_t line = 0;

@@ -24,45 +24,17 @@ bool FailField(const std::string& key, const char* what, std::string* error) {
   return false;
 }
 
-// 64-bit integers ride in the raw number token (JsonValue::literal) —
-// the double `number` field loses precision above 2^53, and seeds are
-// full-width u64. The implementations moved to support/json.h when the
-// checkpoint and corpus-store formats started needing them too; these
-// forwards keep the local call sites unchanged.
-bool GetI64(const JsonValue& obj, const std::string& key, std::int64_t* out,
-            std::string* error) {
-  return support::JsonGetI64(obj, key, out, error);
-}
-
-bool GetU64(const JsonValue& obj, const std::string& key, std::uint64_t* out,
-            std::string* error) {
-  return support::JsonGetU64(obj, key, out, error);
-}
-
-bool GetInt(const JsonValue& obj, const std::string& key, int* out,
-            std::string* error) {
-  return support::JsonGetInt(obj, key, out, error);
-}
-
-bool GetDouble(const JsonValue& obj, const std::string& key, double* out,
-               std::string* error) {
-  return support::JsonGetDouble(obj, key, out, error);
-}
-
-bool GetBool(const JsonValue& obj, const std::string& key, bool* out,
-             std::string* error) {
-  return support::JsonGetBool(obj, key, out, error);
-}
-
-bool GetString(const JsonValue& obj, const std::string& key, std::string* out,
-               std::string* error) {
-  return support::JsonGetString(obj, key, out, error);
-}
+using support::JsonGetBool;
+using support::JsonGetDouble;
+using support::JsonGetI64;
+using support::JsonGetInt;
+using support::JsonGetString;
+using support::JsonGetU64;
 
 bool GetHexU64(const JsonValue& obj, const std::string& key,
                std::uint64_t* out, std::string* error) {
   std::string hex;
-  if (!GetString(obj, key, &hex, error)) return false;
+  if (!JsonGetString(obj, key, &hex, error)) return false;
   if (!ParseHexU64(hex, out)) {
     return FailField(key, "not a 16-digit hex digest", error);
   }
@@ -99,13 +71,13 @@ bool ParseTickSignature(const JsonValue& v, adpilot::TickSignature* out,
     *error = "tick signature is not an object";
     return false;
   }
-  return GetI64(v, "tick", &out->tick, error) &&
+  return JsonGetI64(v, "tick", &out->tick, error) &&
          GetHexU64(v, "frame", &out->frame, error) &&
          GetHexU64(v, "detections", &out->detections, error) &&
          GetHexU64(v, "tracked", &out->tracked, error) &&
          GetHexU64(v, "command", &out->command, error) &&
          GetHexU64(v, "state", &out->state, error) &&
-         GetI64(v, "faults_injected", &out->faults_injected, error);
+         JsonGetI64(v, "faults_injected", &out->faults_injected, error);
 }
 
 std::string DivergenceJson(const ReplayDivergence& d) {
@@ -169,14 +141,16 @@ bool ParseScenarioConfig(const JsonValue& v, adpilot::ScenarioConfig* out,
     *error = "scenario is not an object";
     return false;
   }
-  return GetInt(v, "num_vehicles", &out->num_vehicles, error) &&
-         GetInt(v, "num_pedestrians", &out->num_pedestrians, error) &&
-         GetDouble(v, "road_length", &out->road_length, error) &&
-         GetDouble(v, "lane_width", &out->lane_width, error) &&
-         GetInt(v, "num_lanes", &out->num_lanes, error) &&
-         GetDouble(v, "vehicle_speed_min", &out->vehicle_speed_min, error) &&
-         GetDouble(v, "vehicle_speed_max", &out->vehicle_speed_max, error) &&
-         GetU64(v, "seed", &out->seed, error);
+  return JsonGetInt(v, "num_vehicles", &out->num_vehicles, error) &&
+         JsonGetInt(v, "num_pedestrians", &out->num_pedestrians, error) &&
+         JsonGetDouble(v, "road_length", &out->road_length, error) &&
+         JsonGetDouble(v, "lane_width", &out->lane_width, error) &&
+         JsonGetInt(v, "num_lanes", &out->num_lanes, error) &&
+         JsonGetDouble(v, "vehicle_speed_min", &out->vehicle_speed_min,
+                       error) &&
+         JsonGetDouble(v, "vehicle_speed_max", &out->vehicle_speed_max,
+                       error) &&
+         JsonGetU64(v, "seed", &out->seed, error);
 }
 
 bool ParseFaultSpec(const JsonValue& v, adpilot::FaultSpec* out,
@@ -186,13 +160,13 @@ bool ParseFaultSpec(const JsonValue& v, adpilot::FaultSpec* out,
     return false;
   }
   std::string kind;
-  if (!GetString(v, "kind", &kind, error)) return false;
+  if (!JsonGetString(v, "kind", &kind, error)) return false;
   if (!adpilot::FaultKindFromName(kind, &out->kind)) {
     return FailField("kind", "unknown fault kind", error);
   }
-  return GetI64(v, "onset", &out->onset_tick, error) &&
-         GetI64(v, "duration", &out->duration_ticks, error) &&
-         GetDouble(v, "magnitude", &out->magnitude, error);
+  return JsonGetI64(v, "onset", &out->onset_tick, error) &&
+         JsonGetI64(v, "duration", &out->duration_ticks, error) &&
+         JsonGetDouble(v, "magnitude", &out->magnitude, error);
 }
 
 bool ParseCandidate(const JsonValue& v, Candidate* out, std::string* error) {
@@ -200,20 +174,20 @@ bool ParseCandidate(const JsonValue& v, Candidate* out, std::string* error) {
     *error = "candidate is not an object";
     return false;
   }
-  if (!GetI64(v, "id", &out->id, error) ||
-      !GetI64(v, "parent", &out->parent_id, error) ||
-      !GetInt(v, "generation", &out->generation, error)) {
+  if (!JsonGetI64(v, "id", &out->id, error) ||
+      !JsonGetI64(v, "parent", &out->parent_id, error) ||
+      !JsonGetInt(v, "generation", &out->generation, error)) {
     return false;
   }
   const JsonValue* scenario = v.Find("scenario");
   if (scenario == nullptr) return FailField("scenario", "missing", error);
   if (!ParseScenarioConfig(*scenario, &out->scenario, error)) return false;
   std::string backend;
-  if (!GetString(v, "backend", &backend, error)) return false;
+  if (!JsonGetString(v, "backend", &backend, error)) return false;
   if (!BackendFromTag(backend, &out->backend)) {
     return FailField("backend", "unknown backend tag", error);
   }
-  if (!GetBool(v, "quantized", &out->quantized, error)) return false;
+  if (!JsonGetBool(v, "quantized", &out->quantized, error)) return false;
   const JsonValue* input = v.Find("detector_input");
   if (input == nullptr || input->kind != JsonValue::Kind::kArray ||
       input->items.size() != 2 ||
@@ -223,8 +197,8 @@ bool ParseCandidate(const JsonValue& v, Candidate* out, std::string* error) {
   }
   out->detector_input_h = static_cast<int>(input->items[0].number);
   out->detector_input_w = static_cast<int>(input->items[1].number);
-  if (!GetInt(v, "ticks", &out->ticks, error) ||
-      !GetU64(v, "fault_seed", &out->fault_seed, error)) {
+  if (!JsonGetInt(v, "ticks", &out->ticks, error) ||
+      !JsonGetU64(v, "fault_seed", &out->fault_seed, error)) {
     return false;
   }
   const JsonValue* faults = v.Find("faults");
@@ -248,14 +222,14 @@ bool ParseVerdict(const JsonValue& v, OracleVerdict* out,
     return false;
   }
   std::string state;
-  if (!GetString(v, "final_state", &state, error)) return false;
+  if (!JsonGetString(v, "final_state", &state, error)) return false;
   if (!SafetyStateFromName(state, &out->final_state)) {
     return FailField("final_state", "unknown safety state", error);
   }
-  if (!GetI64(v, "violations", &out->safety.total, error) ||
-      !GetI64(v, "warnings", &out->safety.warnings, error) ||
-      !GetI64(v, "criticals", &out->safety.criticals, error) ||
-      !GetI64(v, "handled", &out->safety.handled, error)) {
+  if (!JsonGetI64(v, "violations", &out->safety.total, error) ||
+      !JsonGetI64(v, "warnings", &out->safety.warnings, error) ||
+      !JsonGetI64(v, "criticals", &out->safety.criticals, error) ||
+      !JsonGetI64(v, "handled", &out->safety.handled, error)) {
     return false;
   }
   const JsonValue* monitors = v.Find("by_monitor");
@@ -264,15 +238,16 @@ bool ParseVerdict(const JsonValue& v, OracleVerdict* out,
   }
   for (int m = 0; m < adpilot::kNumMonitors; ++m) {
     const char* name = adpilot::MonitorName(static_cast<adpilot::MonitorId>(m));
-    if (!GetI64(*monitors, name, &out->safety.by_monitor[m], error)) {
+    if (!JsonGetI64(*monitors, name, &out->safety.by_monitor[m], error)) {
       return false;
     }
   }
-  return GetBool(v, "collision", &out->collision, error) &&
-         GetBool(v, "non_finite_command", &out->non_finite_command, error) &&
-         GetBool(v, "reached_goal", &out->reached_goal, error) &&
-         GetI64(v, "command_overrides", &out->command_overrides, error) &&
-         GetI64(v, "ticks", &out->ticks, error);
+  return JsonGetBool(v, "collision", &out->collision, error) &&
+         JsonGetBool(v, "non_finite_command", &out->non_finite_command,
+                     error) &&
+         JsonGetBool(v, "reached_goal", &out->reached_goal, error) &&
+         JsonGetI64(v, "command_overrides", &out->command_overrides, error) &&
+         JsonGetI64(v, "ticks", &out->ticks, error);
 }
 
 bool ParseReplayArtifact(std::string_view json, ReplayArtifact* out,
@@ -283,7 +258,7 @@ bool ParseReplayArtifact(std::string_view json, ReplayArtifact* out,
     *error = "artifact is not an object";
     return false;
   }
-  if (!GetInt(root, "schema", &out->schema, error)) return false;
+  if (!JsonGetInt(root, "schema", &out->schema, error)) return false;
   if (out->schema != kReplayArtifactSchema) {
     *error = "unsupported artifact schema " + std::to_string(out->schema);
     return false;
@@ -294,7 +269,7 @@ bool ParseReplayArtifact(std::string_view json, ReplayArtifact* out,
   const JsonValue* verdict = root.Find("verdict");
   if (verdict == nullptr) return FailField("verdict", "missing", error);
   if (!ParseVerdict(*verdict, &out->verdict, error)) return false;
-  if (!GetString(root, "outcome", &out->outcome, error) ||
+  if (!JsonGetString(root, "outcome", &out->outcome, error) ||
       !GetHexU64(root, "report_digest", &out->report_digest, error)) {
     return false;
   }

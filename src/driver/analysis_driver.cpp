@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rules/defensive.h"
+#include "support/fnv.h"
 #include "support/io.h"
 #include "support/strings.h"
 #include "support/thread_pool.h"
@@ -48,7 +49,7 @@ WorkerResult AnalyzeOneFile(std::string path, std::string module,
                             const ArtifactCache& cache) {
   WorkerResult out;
   if (cache.enabled()) {
-    out.content_hash = HashBytes(text);
+    out.content_hash = support::FnvStr(text);
     if (cache.Load(path, module, text, out.content_hash, &out.analysis,
                    &out.model)) {
       out.ok = true;

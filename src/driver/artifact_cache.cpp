@@ -13,11 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "support/fnv.h"
 #include "support/io.h"
 
 namespace certkit::driver {
 
 namespace fs = std::filesystem;
+using support::FnvStr;
 
 namespace {
 
@@ -598,15 +600,6 @@ bool CheckHeader(Reader& r, const char (&magic)[4], std::uint64_t fingerprint,
 
 }  // namespace
 
-std::uint64_t HashBytes(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t OptionsFingerprint(const DriverOptions& options) {
   Writer w;
   w.U32(kArtifactSchemaVersion);
@@ -615,7 +608,7 @@ std::uint64_t OptionsFingerprint(const DriverOptions& options) {
   w.U8(options.misra.check_unused_params ? 1 : 0);
   w.I32(options.style_max_line_length);
   const std::string bytes = w.Take();
-  return HashBytes(bytes);
+  return FnvStr(bytes);
 }
 
 std::string SerializeArtifact(const FileAnalysis& analysis,
@@ -623,7 +616,7 @@ std::string SerializeArtifact(const FileAnalysis& analysis,
   Writer w;
   w.Str(analysis.path);
   w.Str(analysis.module);
-  w.U64(HashBytes(analysis.text));
+  w.U64(FnvStr(analysis.text));
   w.Var(analysis.text.size());
   w.Var(analysis.functions.size());
   for (const auto& m : analysis.functions) WriteFunctionMetrics(w, m);
@@ -672,17 +665,17 @@ bool DeserializeArtifact(std::string_view bytes, std::string_view content,
 }
 
 std::uint64_t DigestAnalysis(const CodebaseAnalysis& analysis) {
-  std::uint64_t h = HashBytes("certkit-analysis-digest");
+  std::uint64_t h = FnvStr("certkit-analysis-digest");
   for (const auto& fa : analysis.files) {
     const ast::SourceFileModel& model =
         analysis.modules[fa.module_index].files[fa.file_index];
-    h = HashBytes(SerializeArtifact(fa, model), h);
+    h = FnvStr(SerializeArtifact(fa, model), h);
   }
   Writer w;
   for (const auto& ud : analysis.unit_design) WriteUnitDesign(w, ud);
   for (const auto& d : analysis.defensive) WriteDefensive(w, d);
   for (const auto& s : analysis.skipped) w.Str(s);
-  return HashBytes(w.Take(), h);
+  return FnvStr(w.Take(), h);
 }
 
 ArtifactCache::ArtifactCache(std::string dir,
@@ -697,7 +690,7 @@ std::string ArtifactCache::EntryFile(std::uint64_t key,
 std::string ArtifactCache::EntryPath(const std::string& path,
                                      const std::string& module,
                                      const std::string& content) const {
-  return EntryPathForHash(path, module, HashBytes(content));
+  return EntryPathForHash(path, module, FnvStr(content));
 }
 
 std::string ArtifactCache::EntryPathForHash(const std::string& path,
@@ -708,7 +701,7 @@ std::string ArtifactCache::EntryPathForHash(const std::string& path,
   w.Str(path);
   w.Str(module);
   w.U64(content_hash);
-  return EntryFile(HashBytes(w.Take()), ".ckart");
+  return EntryFile(FnvStr(w.Take()), ".ckart");
 }
 
 std::string ArtifactCache::ModulePhaseEntryPath(std::uint64_t key) const {
@@ -740,7 +733,7 @@ int ArtifactCache::GarbageCollect(const std::vector<std::string>& live) const {
 bool ArtifactCache::Load(const std::string& path, const std::string& module,
                          const std::string& content, FileAnalysis* analysis,
                          ast::SourceFileModel* model) const {
-  return Load(path, module, content, HashBytes(content), analysis, model);
+  return Load(path, module, content, FnvStr(content), analysis, model);
 }
 
 bool ArtifactCache::Load(const std::string& path, const std::string& module,
@@ -753,7 +746,7 @@ bool ArtifactCache::Load(const std::string& path, const std::string& module,
   w.Str(path);
   w.Str(module);
   w.U64(content_hash);
-  auto bytes = support::ReadFile(EntryFile(HashBytes(w.Take()), ".ckart"));
+  auto bytes = support::ReadFile(EntryFile(FnvStr(w.Take()), ".ckart"));
   if (!bytes.ok()) return false;
   const std::string& blob = bytes.value();
   Reader header(blob);
@@ -789,7 +782,7 @@ void ArtifactCache::Store(const std::string& content,
                           const ast::SourceFileModel& model) const {
   if (!enabled()) return;
   Writer w;
-  WriteHeader(w, kFileMagic, options_fingerprint_, HashBytes(content));
+  WriteHeader(w, kFileMagic, options_fingerprint_, FnvStr(content));
   std::string blob = w.Take();
   blob += SerializeArtifact(analysis, model);
   StoreBlob(EntryPath(analysis.path, analysis.module, content),
@@ -807,7 +800,7 @@ std::uint64_t ArtifactCache::ModulePhaseKey(
     w.Str(path);
     w.U64(content_hash);
   }
-  return HashBytes(w.Take());
+  return FnvStr(w.Take());
 }
 
 bool ArtifactCache::LoadModulePhase(std::uint64_t key,

@@ -45,10 +45,6 @@ namespace certkit::driver {
 // Bump when the serialized layout of any payload struct changes.
 inline constexpr std::uint32_t kArtifactSchemaVersion = 1;
 
-// FNV-1a/64 over `bytes`, continuing from `seed` (chainable).
-std::uint64_t HashBytes(std::string_view bytes,
-                        std::uint64_t seed = 1469598103934665603ull);
-
 // Digest of the per-file analysis options — part of every cache key, so a
 // changed MISRA/style/lex configuration never resurrects stale artifacts.
 std::uint64_t OptionsFingerprint(const DriverOptions& options);
@@ -87,8 +83,8 @@ class ArtifactCache {
   // Looks up the artifact for (path, module, content). On a hit, fills
   // *analysis / *model (module_index/file_index are left for the merge to
   // assign) and returns true. Any miss, version skew, or corruption returns
-  // false. The overload taking `content_hash` (== HashBytes(content)) lets
-  // a caller that already hashed the bytes skip the second pass.
+  // false. The overload taking `content_hash` (== support::FnvStr(content))
+  // lets a caller that already hashed the bytes skip the second pass.
   bool Load(const std::string& path, const std::string& module,
             const std::string& content, FileAnalysis* analysis,
             ast::SourceFileModel* model) const;

@@ -1,5 +1,7 @@
 #include "lex/dfa_tables.h"
 
+#include "support/fnv.h"
+
 namespace certkit::lex::tables {
 
 namespace {
@@ -135,16 +137,7 @@ constexpr std::array<PunctGroup, 256> BuildPunctIndex() {
   return idx;
 }
 
-constexpr std::uint64_t Fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// A frozen open-addressing hash set: FNV-1a/64 modulo a power-of-two
+// A frozen open-addressing hash set: support::FnvStr modulo a power-of-two
 // capacity, linear probing, built entirely at compile time. An empty
 // string_view marks a vacant slot (no keyword is empty).
 template <std::size_t Capacity>
@@ -157,14 +150,14 @@ struct FrozenStringSet {
       const std::array<std::string_view, N>& words) {
     static_assert(N * 5 <= Capacity * 2, "load factor must stay under 0.4");
     for (std::string_view w : words) {
-      std::size_t i = Fnv1a64(w) & (Capacity - 1);
+      std::size_t i = support::FnvStr(w) & (Capacity - 1);
       while (!slots[i].empty()) i = (i + 1) & (Capacity - 1);
       slots[i] = w;
     }
   }
 
   constexpr bool Contains(std::string_view w) const {
-    std::size_t i = Fnv1a64(w) & (Capacity - 1);
+    std::size_t i = support::FnvStr(w) & (Capacity - 1);
     while (!slots[i].empty()) {
       if (slots[i] == w) return true;
       i = (i + 1) & (Capacity - 1);
@@ -209,8 +202,6 @@ const std::array<std::array<std::uint8_t, kClassCount>, kStateCount>
     kTokenDfa = BuildTokenDfa();
 const std::array<std::string_view, 27> kPunctTable = kPunctTableInit;
 const std::array<PunctGroup, 256> kPunctIndex = BuildPunctIndex();
-
-std::uint64_t KeywordHash(std::string_view word) { return Fnv1a64(word); }
 
 bool CppKeywordTableContains(std::string_view word) {
   return kCppKeywordSet.Contains(word);

@@ -116,7 +116,6 @@ extern const std::array<std::string_view, 27> kPunctTable;
 extern const std::array<PunctGroup, 256> kPunctIndex;
 
 // Frozen keyword sets. Capacities are powers of two with load factor < 0.4.
-std::uint64_t KeywordHash(std::string_view word);
 bool CppKeywordTableContains(std::string_view word);
 bool CudaKeywordTableContains(std::string_view word);
 

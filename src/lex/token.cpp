@@ -4,24 +4,6 @@
 
 namespace certkit::lex {
 
-const char* TokenKindName(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kIdentifier:
-      return "identifier";
-    case TokenKind::kKeyword:
-      return "keyword";
-    case TokenKind::kNumber:
-      return "number";
-    case TokenKind::kString:
-      return "string";
-    case TokenKind::kChar:
-      return "char";
-    case TokenKind::kPunct:
-      return "punct";
-  }
-  return "unknown";
-}
-
 bool IsCppKeyword(std::string_view word) {
   return tables::CppKeywordTableContains(word);
 }

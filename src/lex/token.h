@@ -33,8 +33,6 @@ enum class TokenKind {
   kPunct,       // operators and punctuation, maximal munch
 };
 
-const char* TokenKindName(TokenKind kind);
-
 struct Token {
   TokenKind kind = TokenKind::kPunct;
   // View into the owning LexedFile's buffer (or owned_lexemes). Valid for

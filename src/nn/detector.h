@@ -57,11 +57,9 @@ std::vector<Detection> DecodeDetections(const Tensor& head,
 // Capacity-reusing variant: clears and refills *out.
 void DecodeDetectionsInto(const Tensor& head, const DetectorConfig& config,
                           std::vector<Detection>* out);
-// Same decode, but an N-batch head yields one detection list per image
-// (slot n holds image n's detections, bit-identical to decoding image n
-// alone).
-std::vector<std::vector<Detection>> DecodeDetectionsBatch(
-    const Tensor& head, const DetectorConfig& config);
+// Same decode, but an N-batch head yields one detection list per image:
+// clears and refills *out so slot n holds image n's detections,
+// bit-identical to decoding image n alone.
 void DecodeDetectionsBatchInto(const Tensor& head,
                                const DetectorConfig& config,
                                std::vector<std::vector<Detection>>* out);

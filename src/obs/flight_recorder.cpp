@@ -371,27 +371,6 @@ void EmitEvent(Sink& s, const Rec& r) {
   SinkStr(s, "}");
 }
 
-// Nearest-rank quantile straight off the live bucket atomics (the
-// allocation-free twin of HistogramQuantile; buckets may move under us,
-// which a post-mortem tolerates).
-double LiveQuantile(const Histogram& h, double q) {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) total += h.bucket_value(i);
-  if (total <= 0) return 0.0;
-  std::int64_t rank =
-      static_cast<std::int64_t>(__builtin_ceil(q * static_cast<double>(total)));
-  if (rank < 1) rank = 1;
-  std::int64_t seen = 0;
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-    seen += h.bucket_value(i);
-    if (seen >= rank) {
-      if (i < h.bounds().size()) return h.bounds()[i];
-      break;
-    }
-  }
-  return __builtin_inf();
-}
-
 void EmitMetrics(Sink& s) {
   const MetricsRegistry& reg = MetricsRegistry::Instance();
   const int n = reg.PublishedCount();
@@ -450,11 +429,11 @@ void EmitMetrics(Sink& s) {
       SinkStr(s, ",\"max\":");
       SinkFixed(s, h->max());
       SinkStr(s, ",\"p50\":");
-      SinkQuantile(s, LiveQuantile(*h, 0.50));
+      SinkQuantile(s, h->Quantile(0.50));
       SinkStr(s, ",\"p90\":");
-      SinkQuantile(s, LiveQuantile(*h, 0.90));
+      SinkQuantile(s, h->Quantile(0.90));
       SinkStr(s, ",\"p99\":");
-      SinkQuantile(s, LiveQuantile(*h, 0.99));
+      SinkQuantile(s, h->Quantile(0.99));
     }
     SinkStr(s, "}");
   }

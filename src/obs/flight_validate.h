@@ -4,7 +4,7 @@
 // the emitter (flight_recorder.cpp hand-rolls its JSON through an
 // async-signal-safe sink; this reads it back through support::ParseJson),
 // so a writer bug cannot validate itself. tools/trace_lint dispatches
-// here for any document containing a "flight_dump" root.
+// here for any document whose root object has a "flight_dump" member.
 //
 // Checks:
 //   * schema version is exactly 1;

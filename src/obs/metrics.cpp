@@ -44,6 +44,35 @@ void AtomicMaxDouble(std::atomic<double>& slot, double v) {
   }
 }
 
+// The one nearest-rank rule over bucket upper bounds: the ceil(q*N)-th
+// smallest sample, 1-based, with q clamped to [0, 1] and q=0 mapping to
+// rank 1 — identical to timing::NearestRankQuantile over a sorted list.
+// `bucket(i)` reads bucket i; Histogram::Quantile passes the live atomics,
+// so the walk allocates nothing and is async-signal-safe (buckets may move
+// between the two passes; a rank the second pass cannot reach reports
+// +inf, which a post-mortem tolerates).
+template <typename BucketAt>
+double NearestRankBucket(const std::vector<double>& bounds,
+                         std::size_t bucket_count, BucketAt bucket, double q) {
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < bucket_count; ++i) total += bucket(i);
+  if (total <= 0) return 0.0;
+  if (q < 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  std::int64_t rank =
+      static_cast<std::int64_t>(std::ceil(q * static_cast<double>(total)));
+  if (rank < 1) rank = 1;
+  std::int64_t seen = 0;
+  for (std::size_t i = 0; i < bucket_count; ++i) {
+    seen += bucket(i);
+    if (seen >= rank) {
+      if (i < bounds.size()) return bounds[i];
+      break;  // overflow bucket
+    }
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -96,7 +125,9 @@ double Histogram::max() const {
 }
 
 double Histogram::Quantile(double q) const {
-  return HistogramQuantile(bounds_, BucketCounts(), q);
+  return NearestRankBucket(
+      bounds_, bucket_count(),
+      [this](std::size_t i) { return bucket_value(i); }, q);
 }
 
 void Histogram::Reset() {
@@ -111,25 +142,9 @@ void Histogram::Reset() {
 
 double HistogramQuantile(const std::vector<double>& bounds,
                          const std::vector<std::int64_t>& buckets, double q) {
-  std::int64_t total = 0;
-  for (const std::int64_t b : buckets) total += b;
-  if (total <= 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Nearest rank: the ceil(q*N)-th smallest sample, 1-based; q=0 maps to
-  // rank 1 — identical to timing::NearestRankQuantile over a sorted list.
-  std::int64_t rank =
-      static_cast<std::int64_t>(std::ceil(q * static_cast<double>(total)));
-  if (rank < 1) rank = 1;
-  std::int64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen >= rank) {
-      if (i < bounds.size()) return bounds[i];
-      return std::numeric_limits<double>::infinity();  // overflow bucket
-    }
-  }
-  return std::numeric_limits<double>::infinity();
+  return NearestRankBucket(
+      bounds, buckets.size(), [&buckets](std::size_t i) { return buckets[i]; },
+      q);
 }
 
 MetricsRegistry& MetricsRegistry::Instance() {

@@ -95,7 +95,9 @@ class Histogram {
   // rank = ceil(q * N), returns the upper bound of the bucket containing
   // the rank-th smallest sample. Overflow-bucket samples report +inf
   // (their bound is unbounded); an empty histogram reports 0.0. Same rank
-  // law as timing::NearestRankQuantile, pinned by tests.
+  // law as timing::NearestRankQuantile, pinned by tests. Reads the live
+  // bucket atomics without allocating, so the flight-dump writer calls it
+  // from the fatal-signal path.
   double Quantile(double q) const;
   void Reset();
 
@@ -116,7 +118,7 @@ class Histogram {
 };
 
 // The Histogram::Quantile law as a free function over snapshot rows (the
-// JSON exporter and the independent dump validator both use it).
+// MetricsJson exporter uses it).
 double HistogramQuantile(const std::vector<double>& bounds,
                          const std::vector<std::int64_t>& buckets, double q);
 

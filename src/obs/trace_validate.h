@@ -1,17 +1,23 @@
 // certkit obs: structural validation of exported Chrome trace-event JSON.
 //
-// The exporter (ChromeTraceJson) and this validator are deliberately
-// independent implementations: the validator re-parses the bytes with its
-// own minimal JSON reader and checks the trace-event schema plus the
-// invariants our logical clock guarantees, so a formatting or sequencing
-// bug in the exporter cannot hide. tools/trace_lint wraps this for CI;
-// the obs tests run it on every export they produce.
+// The exporter (ChromeTraceJson) and this validator share no code: the
+// exporter writes through an ostringstream and support::JsonEscape and
+// never parses, while the validator reads the bytes back through
+// support::ParseJson (as flight_validate does) and checks the trace-event
+// schema plus the invariants our logical clock guarantees, so a formatting
+// or sequencing bug in the exporter cannot hide. The shared parser caps
+// nesting at 64 levels, so a hostile deeply nested file is a "nesting too
+// deep" diagnosis, not a stack overflow. tools/trace_lint wraps this for
+// CI; the obs tests run it on every export they produce.
 //
 // Accepted shape (the subset of the trace-event format certkit emits, which
 // chrome://tracing and Perfetto both load):
-//   * top level: an object with a "traceEvents" array, or a bare array;
+//   * top level: an object with a "traceEvents" array, or a bare array,
+//     nested at most 64 levels deep;
+//   * strings \u-escape code points up to 0xFF only (JsonEscape escapes
+//     control characters and nothing else);
 //   * every event: an object with string "name" and "ph", integer "pid"
-//     and "tid";
+//     and "tid" (integers are integral numbers of magnitude <= 2^53);
 //   * "X" (complete) events: integer "ts" and "dur" with ts >= 0, dur >= 1;
 //   * "M" (metadata) events: an "args" object;
 //   * per tid, "X" events must be properly nested — any two intervals are

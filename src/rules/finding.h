@@ -14,8 +14,6 @@ enum class Severity {
   kRequired,  // highly recommended ('++') technique violated
 };
 
-const char* SeverityName(Severity severity);
-
 struct Finding {
   std::string rule_id;   // e.g. "MISRA-15.1", "STYLE-LINELEN", "UNIT-5"
   Severity severity = Severity::kWarning;

@@ -1,16 +1,18 @@
 // certkit support: FNV-1a/64 streaming digest helpers.
 //
-// The same hash family already keys the driver's artifact cache and the
-// detector-batch bench; this header centralizes the constants plus typed
-// append helpers so digest streams (replay tick signatures, analysis
-// digests) are built from one implementation. Doubles are hashed by bit
-// pattern — the digests gate *bit* identity, not approximate equality —
-// with -0.0 and every NaN payload hashing as distinct values on purpose.
+// The one FNV-1a/64 implementation in the tree: it keys the driver's
+// artifact cache, the lexer's compile-time keyword sets, the corpus-store
+// and checkpoint digests and the detector-batch bench. Typed append
+// helpers build digest streams (replay tick signatures, analysis digests)
+// by chaining the seed. Doubles are hashed by bit pattern — the digests
+// gate *bit* identity, not approximate equality — with -0.0 and every NaN
+// payload hashing as distinct values on purpose.
 #ifndef CERTKIT_SUPPORT_FNV_H_
 #define CERTKIT_SUPPORT_FNV_H_
 
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string_view>
 
 namespace certkit::support {
@@ -28,9 +30,15 @@ inline std::uint64_t FnvBytes(const void* data, std::size_t size,
   return seed;
 }
 
-inline std::uint64_t FnvStr(std::string_view s,
-                            std::uint64_t seed = kFnvOffsetBasis) {
-  return FnvBytes(s.data(), s.size(), seed);
+// constexpr, so compile-time tables (the lexer's keyword sets) hash with
+// the same function as runtime digests; equal to FnvBytes over s's bytes.
+constexpr std::uint64_t FnvStr(std::string_view s,
+                               std::uint64_t seed = kFnvOffsetBasis) {
+  return std::accumulate(s.begin(), s.end(), seed,
+                         [](std::uint64_t h, char c) {
+                           return (h ^ static_cast<unsigned char>(c)) *
+                                  kFnvPrime;
+                         });
 }
 
 inline std::uint64_t FnvU64(std::uint64_t v,
@@ -48,13 +56,6 @@ inline std::uint64_t FnvDouble(double v,
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return FnvU64(bits, seed);
-}
-
-inline std::uint64_t FnvFloat(float v,
-                              std::uint64_t seed = kFnvOffsetBasis) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return FnvBytes(&bits, sizeof(bits), seed);
 }
 
 }  // namespace certkit::support

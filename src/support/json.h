@@ -15,9 +15,12 @@
 //                     artifacts back (objects, arrays, numbers, strings
 //                     with escapes, bools, null)
 //
-// The obs trace validator intentionally keeps its own private parser
-// (tools/trace_lint is an *independent* checker); this one is for
-// round-trip artifact IO.
+// ParseJson is the one JSON reader in the tree: round-trip artifact IO,
+// serve requests, and both obs validators (trace_validate and
+// flight_validate, wrapped by tools/trace_lint) read through it. The
+// validators stay independent of the emitters because the emitters never
+// parse. Nesting is capped at 64 levels, so a hostile deeply nested input
+// is a parse error rather than a stack overflow.
 #ifndef CERTKIT_SUPPORT_JSON_H_
 #define CERTKIT_SUPPORT_JSON_H_
 

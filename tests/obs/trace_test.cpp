@@ -302,6 +302,15 @@ TEST(TraceValidateTest, RejectsMalformedJson) {
   EXPECT_FALSE(ValidateChromeTrace("{\"traceEvents\":[", &error));
   EXPECT_FALSE(ValidateChromeTrace("not json at all", &error));
   EXPECT_FALSE(ValidateChromeTrace("{\"noTraceEvents\":[]}", &error));
+
+  // 200k-deep nesting inside traceEvents: a recursive reader without a
+  // depth cap overflows the stack here; the shared parser stops at its cap.
+  constexpr int kDepth = 200000;
+  const std::string deep = "{\"traceEvents\":" + std::string(kDepth, '[') +
+                           std::string(kDepth, ']') + "}";
+  error.clear();
+  EXPECT_FALSE(ValidateChromeTrace(deep, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 TEST(TraceValidateTest, DistinguishesMalformedNumbersFromOutOfRange) {
@@ -347,6 +356,11 @@ TEST(TraceValidateTest, RejectsSchemaViolations) {
       "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":-1,\"dur\":1,"
       "\"pid\":0,\"tid\":0}]}",
       &error));
+  // Timestamp beyond the exact-integer range of a double.
+  EXPECT_FALSE(ValidateChromeTrace(
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":1e300,"
+      "\"dur\":1,\"pid\":0,\"tid\":0}]}",
+      &error));
   // Unsupported phase.
   EXPECT_FALSE(ValidateChromeTrace(
       "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"Q\",\"pid\":0,"
@@ -372,12 +386,14 @@ TEST(TraceValidateTest, RejectsPartiallyOverlappingSpans) {
 }
 
 TEST(TraceValidateTest, AcceptsSameTidOnDifferentTracksIndependently) {
-  // Disjoint and nested intervals are both fine.
+  // Disjoint and nested intervals are both fine. A span named like the
+  // flight-dump root key is still an ordinary trace span.
   TraceTrack track;
   track.label = "good";
   track.events.push_back(SpanEvent{"child", "t", 1, 1, 0.0});
   track.events.push_back(SpanEvent{"parent", "t", 0, 3, 0.0});
   track.events.push_back(SpanEvent{"later", "t", 4, 2, 0.0});
+  track.events.push_back(SpanEvent{"flight_dump", "t", 7, 1, 0.0});
   std::string error;
   EXPECT_TRUE(ValidateChromeTrace(ChromeTraceJson({track}, false), &error))
       << error;

@@ -17,8 +17,11 @@
 //    well-formed metrics snapshot (bucket arrays of length bounds+1 that
 //    sum to the count; quantiles numeric or "+inf").
 //
-// Both validators are independent re-implementations (own JSON parsing,
-// own invariant checks) so emitter bugs cannot hide behind shared code.
+// The document is parsed once with support::ParseJson to pick the
+// validator: a root object with a "flight_dump" member is a flight dump,
+// anything else is checked as a trace. A parse error (including nesting
+// deeper than the parser's 64-level cap) is reported as INVALID. Neither
+// validator shares code with its emitter, so emitter bugs cannot hide.
 //
 // Exit status: 0 when every file validates, 1 otherwise (CI-friendly).
 #include <cstdio>
@@ -27,6 +30,10 @@
 #include "obs/flight_validate.h"
 #include "obs/trace_validate.h"
 #include "support/io.h"
+#include "support/json.h"
+
+namespace obs = certkit::obs;
+namespace support = certkit::support;
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -35,22 +42,24 @@ int main(int argc, char** argv) {
   }
   int failures = 0;
   for (int i = 1; i < argc; ++i) {
-    auto content = certkit::support::ReadFile(argv[i]);
+    auto content = support::ReadFile(argv[i]);
     if (!content.ok()) {
       std::printf("%s: error: %s\n", argv[i],
                   content.status().ToString().c_str());
       ++failures;
       continue;
     }
-    // Dispatch on the root key: a flight dump opens with "flight_dump",
-    // a trace with "traceEvents".
-    const bool is_flight =
-        content.value().find("\"flight_dump\"") != std::string::npos;
+    support::JsonValue root;
     std::string error;
-    const bool ok =
-        is_flight
-            ? certkit::obs::ValidateFlightDump(content.value(), &error)
-            : certkit::obs::ValidateChromeTrace(content.value(), &error);
+    if (!support::ParseJson(content.value(), &root, &error)) {
+      std::printf("%s: INVALID: parse error: %s\n", argv[i], error.c_str());
+      ++failures;
+      continue;
+    }
+    const bool is_flight = root.Find("flight_dump") != nullptr;
+    const bool ok = is_flight
+                        ? obs::ValidateFlightDump(content.value(), &error)
+                        : obs::ValidateChromeTrace(content.value(), &error);
     if (ok) {
       std::printf("%s: OK (%s, %zu bytes)\n", argv[i],
                   is_flight ? "flight dump" : "trace", content.value().size());
