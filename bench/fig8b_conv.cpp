@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
     });
     std::printf("%-12s %9.3f ms %9.3f ms %9.2fx %16d\n", ns.name,
                 1e3 * t_cudnn, 1e3 * t_isaac, t_cudnn / t_isaac,
-                kernels::isaac_sim::TunedConfigIndex(ns.shape));
+                kernels::isaac_sim::TunedConfigIndex(ns.shape,
+                                                     device.sm_count()));
   }
   std::printf(
       "\nPaper reference: ISAAC provides very competitive performance in\n"

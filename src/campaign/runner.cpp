@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -12,7 +11,6 @@
 #include "campaign/corpus_store.h"
 #include "campaign/mutation.h"
 #include "campaign/replay.h"
-#include "kernels/conv.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "support/check.h"
@@ -21,13 +19,6 @@
 namespace certkit::campaign {
 
 namespace {
-
-// The accelerator-simulating backends (closed/open) run their kernels on
-// the process-wide gpusim device pool, whose fork-join state is not
-// reentrant — two concurrent pilots on those backends would interleave
-// kernel jobs. CPU-naive candidates run lock-free; the others take this
-// mutex for the duration of their run.
-std::mutex g_accel_mu;
 
 double Elapsed(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -54,17 +45,11 @@ CampaignRunner::CampaignRunner(const CampaignConfig& config)
 
 EvalResult CampaignRunner::Evaluate(const Candidate& candidate) {
   using namespace adpilot;
-  std::unique_lock<std::mutex> accel_lock(g_accel_mu, std::defer_lock);
-  if (candidate.backend != nn::Backend::kCpuNaive) {
-    accel_lock.lock();
-    // Every candidate starts from a cold tuner: the cached conv configs
-    // must not leak across candidates, or evaluation ORDER (which varies
-    // with --jobs scheduling) would change what each candidate executes.
-    // The cost model is deterministic, so each candidate re-derives the
-    // same configs every time, in any order, at any job count.
-    kernels::isaac_sim::ResetTuningCache();
-  }
-
+  // Candidates on the accelerator-simulating backends share the process-wide
+  // gpusim device without a lock: its pool runs one launch at a time
+  // (gpusim::ThreadPool::ParallelFor queues concurrent submitters), and the
+  // isaac_sim tuner cache is a pure memo keyed on (shape, sm_count), so
+  // evaluation order cannot change what a candidate executes.
   PilotConfig cfg;
   cfg.scenario = candidate.scenario;
   cfg.perception.backend = candidate.backend;

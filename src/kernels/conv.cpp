@@ -124,21 +124,26 @@ namespace isaac_sim {
 
 namespace {
 
-struct ShapeKey {
+// The tuning memo's key: everything PickConfig reads, so with timing
+// tuning off the memo is a pure function cache — a cached pick is the pick
+// any fresh tuner would make, whatever ran before it.
+struct TuneKey {
   int b, ic, h, w, oc, kh, kw, stride, pad;
-  bool operator<(const ShapeKey& o) const {
-    return std::tie(b, ic, h, w, oc, kh, kw, stride, pad) <
-           std::tie(o.b, o.ic, o.h, o.w, o.oc, o.kh, o.kw, o.stride, o.pad);
+  unsigned sm_count;
+  bool operator<(const TuneKey& o) const {
+    return std::tie(b, ic, h, w, oc, kh, kw, stride, pad, sm_count) <
+           std::tie(o.b, o.ic, o.h, o.w, o.oc, o.kh, o.kw, o.stride, o.pad,
+                    o.sm_count);
   }
 };
 
-ShapeKey KeyOf(const ConvShape& s) {
-  return ShapeKey{s.batch, s.in_channels, s.in_h,  s.in_w, s.out_channels,
-                  s.kernel_h, s.kernel_w, s.stride, s.pad};
+TuneKey KeyOf(const ConvShape& s, unsigned sm_count) {
+  return TuneKey{s.batch,    s.in_channels, s.in_h,   s.in_w, s.out_channels,
+                 s.kernel_h, s.kernel_w,    s.stride, s.pad,  sm_count};
 }
 
 std::mutex g_cache_mu;
-std::map<ShapeKey, int> g_tuned;
+std::map<TuneKey, int> g_tuned;
 bool g_timing_tuning = false;
 
 // Candidate GEMM tile configurations the auto-tuner explores: each entry
@@ -265,9 +270,9 @@ constexpr std::uint64_t kLaunchOverheadOps = 4096;
 
 int CandidateCount() { return kNumCandidates; }
 
-int TunedConfigIndex(const ConvShape& shape) {
+int TunedConfigIndex(const ConvShape& shape, unsigned sm_count) {
   std::lock_guard<std::mutex> lock(g_cache_mu);
-  auto it = g_tuned.find(KeyOf(shape));
+  auto it = g_tuned.find(KeyOf(shape, sm_count));
   return it == g_tuned.end() ? -1 : it->second;
 }
 
@@ -278,6 +283,9 @@ void ResetTuningCache() {
 
 void SetTimingTuning(bool enabled) {
   std::lock_guard<std::mutex> lock(g_cache_mu);
+  // Measured picks never outlive timing mode, so the memo holds only model
+  // picks whenever the mode is off.
+  if (enabled != g_timing_tuning) g_tuned.clear();
   g_timing_tuning = enabled;
 }
 
@@ -320,11 +328,12 @@ int PickConfig(const ConvShape& shape, unsigned sm_count) {
 void Conv2d(const float* input, const float* weights, const float* bias,
             float* output, const ConvShape& s, gpusim::Device& device) {
   CERTKIT_CHECK(s.in_h > 0 && s.in_w > 0 && s.stride > 0);
+  const TuneKey key = KeyOf(s, device.sm_count());
   int config = -1;
   bool timing = false;
   {
     std::lock_guard<std::mutex> lock(g_cache_mu);
-    auto it = g_tuned.find(KeyOf(s));
+    auto it = g_tuned.find(key);
     if (it != g_tuned.end()) config = it->second;
     timing = g_timing_tuning;
   }
@@ -335,10 +344,10 @@ void Conv2d(const float* input, const float* weights, const float* bias,
   if (!timing) {
     // Deterministic cold path: rank candidates by the occupancy cost model
     // and run only the winner — one pass, same config on every run.
-    config = PickConfig(s, device.sm_count());
+    config = PickConfig(s, key.sm_count);
     {
       std::lock_guard<std::mutex> lock(g_cache_mu);
-      g_tuned[KeyOf(s)] = config;
+      g_tuned[key] = config;
     }
     RunWithConfig(input, weights, bias, output, s, config, device);
     return;
@@ -368,7 +377,7 @@ void Conv2d(const float* input, const float* weights, const float* bias,
   }
   {
     std::lock_guard<std::mutex> lock(g_cache_mu);
-    g_tuned[KeyOf(s)] = best;
+    g_tuned[key] = best;
   }
 }
 

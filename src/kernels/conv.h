@@ -55,10 +55,13 @@ void Conv2d(const float* input, const float* weights, const float* bias,
 }  // namespace cudnn_sim
 
 namespace isaac_sim {
-// im2col + auto-tuned GEMM. The first call for a given shape ranks the
-// candidate tile configurations with a deterministic cost model (the static
-// mirror of gpusim::Device's launch/occupancy accounting) and caches the
-// winner; subsequent calls use the cached configuration. The batch
+// im2col + auto-tuned GEMM. The first call for a given shape on a device
+// with a given SM count ranks the candidate tile configurations with a
+// deterministic cost model (the static mirror of gpusim::Device's
+// launch/occupancy accounting) and caches the winner under (shape,
+// sm_count); subsequent calls use the cached configuration. The cache is a
+// pure memo of PickConfig, so concurrent callers need no reset or lock to
+// stay deterministic. The batch
 // dimension is fused into a single wide GEMM, so an N-batch call issues the
 // same number of device launches as a single image and its outputs are
 // bit-identical to N separate batch-1 calls (every output element is the
@@ -68,11 +71,11 @@ void Conv2d(const float* input, const float* weights, const float* bias,
             gpusim::Device& device = gpusim::Device::Instance());
 
 // Exposed for tests: which tile configuration the tuner picked for `shape`
-// (-1 if the shape has not been tuned yet).
-int TunedConfigIndex(const ConvShape& shape);
+// on a device with `sm_count` SMs (-1 if not tuned yet).
+int TunedConfigIndex(const ConvShape& shape, unsigned sm_count);
 // Number of candidate configurations the tuner explores.
 int CandidateCount();
-// Clears the tuning cache (tests, campaign candidate setup).
+// Clears the tuning cache (tests and benches that time a cold tuner).
 void ResetTuningCache();
 
 // The deterministic ranking signal: modeled cost (integer op units) of
@@ -90,6 +93,8 @@ int PickConfig(const ConvShape& shape, unsigned sm_count);
 // timed on the live input (wall clock; every candidate runs once and the
 // best candidate's already-computed output is kept — never a final re-run).
 // Off by default: tuning is then the deterministic cost model above.
+// Switching the mode clears the cache, so measured picks never leak into
+// deterministic runs.
 void SetTimingTuning(bool enabled);
 }  // namespace isaac_sim
 

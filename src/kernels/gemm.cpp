@@ -1,5 +1,9 @@
 #include "kernels/gemm.h"
 
+#include <emmintrin.h>
+
+#include "kernels/gemm_s16_body.h"
+
 namespace kernels {
 
 namespace cpublas {
@@ -25,58 +29,61 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s) {
 
 namespace micro {
 
-void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
+// Defined in gemm_avx2.cpp (built with -mavx2); called only after dispatch.
+void GemmS16S32Avx2(const std::int16_t* a, const std::int16_t* b,
+                    std::int32_t* c, GemmShape padded);
+
+namespace {
+
+struct Sse2 {
+  using Reg = __m128i;
+  static constexpr int kLanes = 4;
+  static Reg Zero() { return _mm_setzero_si128(); }
+  static Reg Load(const std::int16_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  }
+  static void Store(std::int32_t* p, Reg v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
+  static Reg Broadcast(std::int32_t v) { return _mm_set1_epi32(v); }
+  static Reg MaddAdd(Reg acc, Reg a, Reg b) {
+    return _mm_add_epi32(acc, _mm_madd_epi16(a, b));
+  }
+};
+
+void GemmS16S32Sse2(const std::int16_t* a, const std::int16_t* b,
                     std::int32_t* c, GemmShape s) {
-  CERTKIT_CHECK(s.m > 0 && s.n > 0 && s.k > 0);
-  const int m = s.m, n = s.n, k = s.k;
-  // 2×2 register tile of K-contiguous dot products: each accumulator is a
-  // PMADDWD partial-sum vector, each loaded A/B K-slice feeds two products.
-  int i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const std::int16_t* a0 = a + static_cast<std::size_t>(i) * k;
-    const std::int16_t* a1 = a0 + k;
-    std::int32_t* c0 = c + static_cast<std::size_t>(i) * n;
-    std::int32_t* c1 = c0 + n;
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const std::int16_t* b0 = bt + static_cast<std::size_t>(j) * k;
-      const std::int16_t* b1 = b0 + k;
-      std::int32_t acc00 = 0, acc01 = 0, acc10 = 0, acc11 = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        const std::int32_t av0 = a0[kk], av1 = a1[kk];
-        acc00 += av0 * b0[kk];
-        acc01 += av0 * b1[kk];
-        acc10 += av1 * b0[kk];
-        acc11 += av1 * b1[kk];
-      }
-      c0[j] = acc00;
-      c0[j + 1] = acc01;
-      c1[j] = acc10;
-      c1[j + 1] = acc11;
+  GemmS16S32Body<Sse2>(a, b, c, s.m, s.n, s.k);
+}
+
+}  // namespace
+
+std::span<const GemmS16S32Variant> GemmS16S32Variants() {
+  static const GemmS16S32Variant variants[] = {
+      {"sse2", &GemmS16S32Sse2, true},
+      {"avx2", &GemmS16S32Avx2, __builtin_cpu_supports("avx2") != 0},
+  };
+  return variants;
+}
+
+// The widest supported instantiation, picked once.
+const GemmS16S32Variant& GemmS16S32Dispatched() {
+  static const GemmS16S32Variant* const picked = [] {
+    const GemmS16S32Variant* best = nullptr;
+    for (const GemmS16S32Variant& v : GemmS16S32Variants()) {
+      if (v.supported) best = &v;
     }
-    for (; j < n; ++j) {  // odd-N fringe column
-      const std::int16_t* b0 = bt + static_cast<std::size_t>(j) * k;
-      std::int32_t acc0 = 0, acc1 = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc0 += static_cast<std::int32_t>(a0[kk]) * b0[kk];
-        acc1 += static_cast<std::int32_t>(a1[kk]) * b0[kk];
-      }
-      c0[j] = acc0;
-      c1[j] = acc1;
-    }
-  }
-  for (; i < m; ++i) {  // odd-M fringe row
-    const std::int16_t* a0 = a + static_cast<std::size_t>(i) * k;
-    std::int32_t* c0 = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const std::int16_t* b0 = bt + static_cast<std::size_t>(j) * k;
-      std::int32_t acc = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(a0[kk]) * b0[kk];
-      }
-      c0[j] = acc;
-    }
-  }
+    return best;
+  }();
+  return *picked;
+}
+
+void GemmS16S32(const std::int16_t* a, const std::int16_t* b,
+                std::int32_t* c, GemmShape padded) {
+  CERTKIT_CHECK(padded.m > 0 && padded.n > 0 && padded.k > 0);
+  CERTKIT_CHECK(padded.m % kTileM == 0 && padded.n % kTileN == 0 &&
+                padded.k % 2 == 0);
+  GemmS16S32Dispatched().gemm(a, b, c, padded);
 }
 
 }  // namespace micro

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "gpusim/gpusim.h"
 #include "support/check.h"
@@ -131,18 +132,43 @@ inline void Sgemm(const float* a, const float* b, float* c, GemmShape shape,
 // construction (registers + caller-owned buffers only).
 namespace micro {
 
-// int16 dot-product kernel over a pre-transposed operand: C[M,N] = A·Bᵀ
-// with A[M,K] and BT[N,K] both row-major, int32 accumulation. int8 values
-// widened to int16 make every product exact in the int16×int16→int32
-// dot-product form the x86 backend maps to PMADDWD (8 MACs per SSE2
-// instruction), and the [N,K] patch-matrix layout keeps BOTH operands
-// unit-stride in K so the autovectorizer can use it. Integer accumulation is
-// exact, so the result equals a scalar int32 triple loop whatever the
-// summation order. With K contiguous the working set per output is two
-// K-vectors, so the only blocking dimension is the register tile, which the
-// 16-xmm budget pins at 2×2 vector accumulators.
-void GemmS16S32DotT(const std::int16_t* a, const std::int16_t* bt,
-                    std::int32_t* c, GemmShape shape);
+// Register tile of the int8 kernel. Callers pad M to kTileM, N to kTileN and
+// K to even, zero-filling the padding, so the kernel has no fringe code.
+inline constexpr int kTileM = 4;
+inline constexpr int kTileN = 16;
+
+constexpr int PadTo(int v, int multiple) {
+  return (v + multiple - 1) / multiple * multiple;
+}
+
+// Outer-product int16 GEMM, C[M,N] = A·B with int32 accumulation, over
+// packed operands (int8 values widened to int16, so every product is exact):
+//  * a: [M][K] row-major, so each adjacent K-pair is one int32 lane;
+//  * b: [K/2][N][2] — K-major, the two K-values of a pair interleaved per
+//    column;
+//  * c: [M][N] row-major.
+// Per K-pair, the kernel broadcasts one weight pair per tile row and issues
+// one PMADDWD per vector of B: a0·b0 + a1·b1 lands in each int32 lane, so a
+// kTileM × kTileN tile of accumulators stays in registers across all of K
+// with no horizontal sums. `padded` holds the padded extents. Integer accumulation
+// is exact, so the result equals a scalar int32 triple loop.
+void GemmS16S32(const std::int16_t* a, const std::int16_t* b,
+                std::int32_t* c, GemmShape padded);
+
+// The one kernel body is compiled once per ISA: SSE2 (the x86-64 baseline)
+// and AVX2. GemmS16S32 runs the widest one the CPU supports, picked once by
+// a CPUID check; tests and benches reach each instantiation through this
+// table. x86-64 is the only target.
+using GemmS16S32Fn = void (*)(const std::int16_t*, const std::int16_t*,
+                              std::int32_t*, GemmShape);
+struct GemmS16S32Variant {
+  const char* isa;
+  GemmS16S32Fn gemm;
+  bool supported;  // the running CPU has the ISA
+};
+// Every compiled instantiation, baseline first.
+std::span<const GemmS16S32Variant> GemmS16S32Variants();
+const GemmS16S32Variant& GemmS16S32Dispatched();
 
 }  // namespace micro
 

@@ -71,8 +71,9 @@ class ConvLayer : public Layer {
   // which owns non-finite rejection, rather than being laundered through an
   // undefined int8 grid.
   // Enabling snapshots the layer's weights onto the int8 grid (widened to
-  // int16 for the PMADDWD dot-product kernel) along with the per-layer
-  // scale, so steady-state forwards never re-quantize the constant operand.
+  // int16 and packed for the PMADDWD outer-product kernel) along with the
+  // per-layer scale, so steady-state forwards never re-quantize or re-pack
+  // the constant operand.
   // Call it AFTER the weights are final; re-call it to refresh the snapshot
   // if mutable_weights() changed. Defined in quantized.cpp.
   void SetInputQuantization(bool enabled);
@@ -91,7 +92,8 @@ class ConvLayer : public Layer {
   bool quantize_inputs_ = false;
   // Int8-mode weight snapshot (set by SetInputQuantization, const during
   // forwards — reentrancy depends on that): weights snapped to the int8
-  // grid, stored widened as [out_c, in_c*k*k] int16; w_scale_ == 0 marks
+  // grid, stored widened as [out_c, in_c*k*k] int16 with out_c padded to
+  // the GEMM row tile and in_c*k*k to even (zeros); w_scale_ == 0 marks
   // "no usable grid" (all-zero or non-finite weights), which quantizes the
   // weight operand to zero exactly like the pre-snapshot path did.
   std::vector<std::int16_t> q_weights_;

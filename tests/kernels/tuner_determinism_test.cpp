@@ -1,8 +1,9 @@
 // Determinism of the isaac_sim auto-tuner: the tile configuration chosen
 // for a shape must be a pure function of (shape, sm_count) — no wall clock,
 // no dependence on call count, evaluation order, or how many host threads
-// the device runs on. This is what lets the campaign engine reset the
-// tuning cache per candidate and still evaluate reproducibly at any --jobs.
+// the device runs on. The tuning cache is keyed on exactly (shape,
+// sm_count), which is what lets concurrent campaign candidates share it
+// without a reset and still evaluate reproducibly at any --jobs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -34,10 +35,11 @@ TEST(TunerDeterminismTest, SameConfigAcrossRepeatedColdTunes) {
   std::vector<float> bias(static_cast<std::size_t>(s.out_channels), 0.0f);
   std::vector<float> output(s.OutputSize(), 0.0f);
 
+  const unsigned sms = gpusim::Device::Instance().sm_count();
   isaac_sim::ResetTuningCache();
   isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), output.data(),
                     s);
-  const int first = isaac_sim::TunedConfigIndex(s);
+  const int first = isaac_sim::TunedConfigIndex(s, sms);
   ASSERT_GE(first, 0);
   ASSERT_LT(first, isaac_sim::CandidateCount());
 
@@ -47,7 +49,7 @@ TEST(TunerDeterminismTest, SameConfigAcrossRepeatedColdTunes) {
     isaac_sim::ResetTuningCache();
     isaac_sim::Conv2d(input.data(), weights.data(), bias.data(),
                       output.data(), s);
-    ASSERT_EQ(isaac_sim::TunedConfigIndex(s), first) << "re-tune " << i;
+    ASSERT_EQ(isaac_sim::TunedConfigIndex(s, sms), first) << "re-tune " << i;
   }
 }
 
@@ -67,11 +69,11 @@ TEST(TunerDeterminismTest, SameConfigForAnyDevicePoolWidth) {
   isaac_sim::ResetTuningCache();
   isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), out1.data(),
                     s, d1);
-  const int pick1 = isaac_sim::TunedConfigIndex(s);
+  const int pick1 = isaac_sim::TunedConfigIndex(s, d1.sm_count());
   isaac_sim::ResetTuningCache();
   isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), out4.data(),
                     s, d4);
-  const int pick4 = isaac_sim::TunedConfigIndex(s);
+  const int pick4 = isaac_sim::TunedConfigIndex(s, d4.sm_count());
   EXPECT_EQ(pick1, pick4);
   EXPECT_EQ(out1, out4);
 }
@@ -99,14 +101,39 @@ TEST(TunerDeterminismTest, BatchShapesAreTunedIndependently) {
   std::vector<float> bias(static_cast<std::size_t>(s8.out_channels), 0.0f);
   std::vector<float> output(s8.OutputSize(), 0.0f);
 
+  const unsigned sms = gpusim::Device::Instance().sm_count();
   isaac_sim::ResetTuningCache();
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s1), -1);
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s1, sms), -1);
   isaac_sim::Conv2d(input.data(), weights.data(), bias.data(), output.data(),
                     s8);
   // Tuning the 8-batch shape must not populate the batch-1 entry.
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s1), -1);
-  EXPECT_EQ(isaac_sim::TunedConfigIndex(s8), isaac_sim::PickConfig(
-                                                 s8, 16));
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s1, sms), -1);
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s8, sms),
+            isaac_sim::PickConfig(s8, sms));
+}
+
+// The memo key includes sm_count: a pick made for one device width is never
+// served to another, so a shared cache gives every caller the pick its own
+// PickConfig would make.
+TEST(TunerDeterminismTest, MemoIsKeyedOnSmCount) {
+  const ConvShape s = SmallShape();
+  std::vector<float> input(s.InputSize(), 0.25f);
+  std::vector<float> weights(s.WeightSize(), 0.5f);
+  std::vector<float> output(s.OutputSize(), 0.0f);
+  gpusim::Device narrow(1);
+  narrow.set_sm_count(1);
+  gpusim::Device wide(1);
+  wide.set_sm_count(64);
+
+  isaac_sim::ResetTuningCache();
+  isaac_sim::Conv2d(input.data(), weights.data(), nullptr, output.data(), s,
+                    wide);
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s, 1), -1);
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s, 64), isaac_sim::PickConfig(s, 64));
+  isaac_sim::Conv2d(input.data(), weights.data(), nullptr, output.data(), s,
+                    narrow);
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s, 1), isaac_sim::PickConfig(s, 1));
+  EXPECT_EQ(isaac_sim::TunedConfigIndex(s, 64), isaac_sim::PickConfig(s, 64));
 }
 
 }  // namespace
