@@ -74,21 +74,6 @@ void Check(bool ok, const std::string& what) {
   }
 }
 
-// Same rationale as the tickperf harness: ExecutionTimer::Record runs
-// inside the tick, so its sample buffers must be at capacity before the
-// zero-allocation window opens.
-void ReserveTickTimers(int ticks) {
-  static const char* kTimers[] = {
-      "adpilot/tick",     "adpilot/perception",  "adpilot/prediction",
-      "adpilot/planning", "adpilot/control",     "adpilot/canbus",
-      "adpilot/localization", "adpilot/safety",  "adpilot/tick_effective",
-  };
-  auto& registry = certkit::timing::TimerRegistry::Instance();
-  for (const char* name : kTimers) {
-    registry.GetOrCreate(name).Reserve(static_cast<std::size_t>(ticks) + 8);
-  }
-}
-
 // The tick arms. int8 runs on the fig7 CPU reference backend with the
 // quantized-weights switch that routes convs onto the int8 path.
 struct ArmConfig {
@@ -144,7 +129,6 @@ void MeasureBlock(const ArmConfig& arm, bool probed, int warmup, int ticks,
 std::uint64_t SteadyAllocs(const ArmConfig& arm, int warmup, int ticks) {
   adpilot::ApolloPilot pilot(MakeConfig(arm));
   for (int t = 0; t < warmup; ++t) pilot.Tick();
-  ReserveTickTimers(ticks);
   certkit::support::AllocScope scope;
   for (int t = 0; t < ticks; ++t) pilot.Tick();
   return scope.allocations();

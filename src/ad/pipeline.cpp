@@ -48,37 +48,22 @@ PipeProbes& P() {
   return p;
 }
 
-// Observability sinks, one set per pipeline stage: the ExecutionTimer that
-// WCET/pWCET estimation reads and the per-stage duration histogram, both fed
-// by the same obs::Span that records the trace event — one instrumentation
-// point, three consumers. References are stable across
-// MetricsRegistry::ResetAll / TimerRegistry::ResetAll (both reset values in
-// place), so caching them is safe.
-struct StageSinks {
-  certkit::timing::ExecutionTimer* timer;
-  certkit::obs::Histogram* hist;
-};
-
+// One duration sink per pipeline stage: the ExecutionTimer that WCET
+// estimation and the metrics export read, fed by the same obs::Span that
+// records the trace event. References are stable across
+// TimerRegistry::ResetAll (it resets values in place), so caching them is
+// safe.
 struct PipeObs {
-  StageSinks tick, perception, prediction, planning, control, canbus,
-      localization, safety;
+  certkit::timing::ExecutionTimer *tick, *perception, *prediction, *planning,
+      *control, *canbus, *localization, *safety;
   certkit::obs::Counter* ticks;
 };
 
 PipeObs& O() {
   static PipeObs o = [] {
     auto& timers = certkit::timing::TimerRegistry::Instance();
-    auto& metrics = certkit::obs::MetricsRegistry::Instance();
-    // Stage costs on this workload sit between ~10us (control) and ~10ms
-    // (perception on the simulated detector); half-decade buckets cover the
-    // whole range with an overflow bucket for pathological cycles.
-    const std::vector<double> bounds = {1e-5, 5e-5, 1e-4, 5e-4, 1e-3,
-                                        5e-3, 1e-2, 5e-2, 1e-1, 5e-1};
     auto mk = [&](const char* stage) {
-      return StageSinks{
-          &timers.GetOrCreate(std::string("adpilot/") + stage),
-          &metrics.GetHistogram(
-              std::string("adpilot/stage_seconds/") + stage, bounds)};
+      return &timers.GetOrCreate(std::string("adpilot/") + stage);
     };
     PipeObs q;
     q.tick = mk("tick");
@@ -89,7 +74,8 @@ PipeObs& O() {
     q.canbus = mk("canbus");
     q.localization = mk("localization");
     q.safety = mk("safety");
-    q.ticks = &metrics.GetCounter("adpilot/ticks");
+    q.ticks = &certkit::obs::MetricsRegistry::Instance().GetCounter(
+        "adpilot/ticks");
     return q;
   }();
   return o;
@@ -145,8 +131,7 @@ void ApolloPilot::SetFaultInjector(FaultInjector* injector) {
 }
 
 TickReport ApolloPilot::Tick() {
-  certkit::obs::Span tick_span("tick", "pipeline", O().tick.timer,
-                               O().tick.hist);
+  certkit::obs::Span tick_span("tick", "pipeline", O().tick);
   O().ticks->Add();
   const auto tick_start = std::chrono::steady_clock::now();
   const double dt = config_.tick;
@@ -218,8 +203,7 @@ TickReport ApolloPilot::Tick() {
     P().u->CallSite(P().c_perception);
     control_flow_monitor_.Enter(TickStage::kPerception);
     {
-      certkit::obs::Span span("perception", "pipeline",
-                              O().perception.timer, O().perception.hist);
+      certkit::obs::Span span("perception", "pipeline", O().perception);
       certkit::obs::FlightStageScope flight(
           certkit::obs::FlightStage::kPerception, tick_index_);
       // Batch-of-one through the batch engine: bit-identical to the
@@ -252,8 +236,7 @@ TickReport ApolloPilot::Tick() {
   control_flow_monitor_.Enter(TickStage::kPrediction);
   std::vector<PredictedObstacle>& predictions = predictions_scratch_;
   {
-    certkit::obs::Span span("prediction", "pipeline", O().prediction.timer,
-                            O().prediction.hist);
+    certkit::obs::Span span("prediction", "pipeline", O().prediction);
     certkit::obs::FlightStageScope flight(
         certkit::obs::FlightStage::kPrediction, tick_index_);
     PredictObstaclesInto(tracked, config_.prediction, &predictions);
@@ -269,8 +252,7 @@ TickReport ApolloPilot::Tick() {
   control_flow_monitor_.Enter(TickStage::kPlanning);
   PlanResult& plan = plan_scratch_;
   {
-    certkit::obs::Span span("planning", "pipeline", O().planning.timer,
-                            O().planning.hist);
+    certkit::obs::Span span("planning", "pipeline", O().planning);
     certkit::obs::FlightStageScope flight(
         certkit::obs::FlightStage::kPlanning, tick_index_);
     ApplyBehaviorInto(config_.planner, decision, &planner_config_scratch_);
@@ -285,8 +267,7 @@ TickReport ApolloPilot::Tick() {
   control_flow_monitor_.Enter(TickStage::kControl);
   ControlCommand cmd;
   {
-    certkit::obs::Span span("control", "pipeline", O().control.timer,
-                            O().control.hist);
+    certkit::obs::Span span("control", "pipeline", O().control);
     certkit::obs::FlightStageScope flight(
         certkit::obs::FlightStage::kControl, tick_index_);
     cmd = controller_.Compute(est, plan.trajectory, dt);
@@ -294,8 +275,7 @@ TickReport ApolloPilot::Tick() {
   bool overridden = false;
 
   if (safety_on) {
-    certkit::obs::Span span("safety", "safety", O().safety.timer,
-                            O().safety.hist);
+    certkit::obs::Span span("safety", "safety", O().safety);
     certkit::obs::FlightStageScope flight(certkit::obs::FlightStage::kSafety,
                                           tick_index_);
     // Table 4 range check on the actuation output (critical on failure).
@@ -334,8 +314,7 @@ TickReport ApolloPilot::Tick() {
   const std::int64_t rejected_before = canbus_.frames_rejected();
   ChassisFeedback fb;
   {
-    certkit::obs::Span span("canbus", "pipeline", O().canbus.timer,
-                            O().canbus.hist);
+    certkit::obs::Span span("canbus", "pipeline", O().canbus);
     certkit::obs::FlightStageScope flight(certkit::obs::FlightStage::kCanBus,
                                           tick_index_);
     canbus_.SendCommand(cmd);
@@ -361,8 +340,7 @@ TickReport ApolloPilot::Tick() {
   P().u->CallSite(P().c_localization);
   control_flow_monitor_.Enter(TickStage::kLocalization);
   {
-    certkit::obs::Span span("localization", "pipeline",
-                            O().localization.timer, O().localization.hist);
+    certkit::obs::Span span("localization", "pipeline", O().localization);
     certkit::obs::FlightStageScope flight(
         certkit::obs::FlightStage::kLocalization, tick_index_);
     localizer_->Predict(fb.state.acceleration, fb.state.yaw_rate, dt);

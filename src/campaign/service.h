@@ -76,10 +76,10 @@ bool ParseServiceRequests(std::string_view text,
 std::string ServiceResponseJson(const ServiceResponse& response);
 
 // The `stats` response body: flight-recorder occupancy plus the full
-// metrics snapshot (counters/gauges/histograms/timers, same inner schema
-// as MetricsJson). `include_timing` follows the --timing convention: it
-// adds histogram buckets/extrema/quantiles, timer statistics, and the
-// live ring count (all wall-clock- or scheduling-derived).
+// metrics snapshot (counters/gauges/timers, same inner schema as
+// MetricsJson). `include_timing` follows the --timing convention: it adds
+// timer statistics (mean, extrema, quantiles) and the live ring count (all
+// wall-clock- or scheduling-derived).
 std::string ServiceStatsJson(bool include_timing);
 
 class CampaignService {

@@ -5,13 +5,14 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <ctime>
 #include <mutex>
+#include <utility>
 
 #include "obs/metrics.h"
+#include "timing/timing.h"
 
 namespace certkit::obs {
 
@@ -210,16 +211,6 @@ void SinkFixed(Sink& s, double v) {
   SinkBytes(s, fd6, 7);
 }
 
-// Quantile values may be +inf (overflow bucket); JSON has no Infinity, so
-// mirror MetricsJson's convention: the string "+inf".
-void SinkQuantile(Sink& s, double v) {
-  if (std::isinf(v)) {
-    SinkStr(s, "\"+inf\"");
-  } else {
-    SinkFixed(s, v);
-  }
-}
-
 void SinkJsonString(Sink& s, const char* str, std::size_t n) {
   SinkBytes(s, "\"", 1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -371,14 +362,29 @@ void EmitEvent(Sink& s, const Rec& r) {
   SinkStr(s, "}");
 }
 
+// The wall-clock fields of a timer row, in microseconds: the metrics-JSON
+// timer schema, rendered through the signal-safe sink.
+void EmitTimerStats(Sink& s, const timing::TimingStats& t) {
+  const std::pair<const char*, double> fields[] = {
+      {",\"mean_us\":", t.mean}, {",\"min_us\":", t.min},
+      {",\"p50_us\":", t.p50},   {",\"p90_us\":", t.p90},
+      {",\"p95_us\":", t.p95},   {",\"p99_us\":", t.p99},
+      {",\"max_us\":", t.max}};
+  for (const auto& [key, seconds] : fields) {
+    SinkStr(s, key);
+    SinkFixed(s, seconds * 1e6);
+  }
+}
+
 void EmitMetrics(Sink& s) {
-  const MetricsRegistry& reg = MetricsRegistry::Instance();
-  const int n = reg.PublishedCount();
+  const MetricsRegistry::Published& metrics =
+      MetricsRegistry::Instance().published();
+  const int n = metrics.size();
   const bool timing = g_wall_clock.load(std::memory_order_relaxed);
   SinkStr(s, "\"metrics\":{\"counters\":{");
   bool first = true;
   for (int i = 0; i < n; ++i) {
-    const PublishedMetric& m = reg.PublishedAt(i);
+    const PublishedMetric& m = metrics[i];
     if (m.kind != MetricKind::kCounter) continue;
     if (!first) SinkStr(s, ",");
     first = false;
@@ -389,7 +395,7 @@ void EmitMetrics(Sink& s) {
   SinkStr(s, "},\"gauges\":{");
   first = true;
   for (int i = 0; i < n; ++i) {
-    const PublishedMetric& m = reg.PublishedAt(i);
+    const PublishedMetric& m = metrics[i];
     if (m.kind != MetricKind::kGauge) continue;
     if (!first) SinkStr(s, ",");
     first = false;
@@ -397,44 +403,20 @@ void EmitMetrics(Sink& s) {
     SinkStr(s, ":");
     SinkFixed(s, static_cast<const Gauge*>(m.metric)->value());
   }
-  SinkStr(s, "},\"histograms\":{");
-  first = true;
-  for (int i = 0; i < n; ++i) {
-    const PublishedMetric& m = reg.PublishedAt(i);
-    if (m.kind != MetricKind::kHistogram) continue;
-    const Histogram* h = static_cast<const Histogram*>(m.metric);
-    if (!first) SinkStr(s, ",");
-    first = false;
-    SinkJsonString(s, m.name->c_str(), m.name->size());
+  // Timers: the per-stage duration sinks. Counts are deterministic; the
+  // statistics are wall clock, so they follow the --timing convention.
+  SinkStr(s, "},\"timers\":{");
+  const timing::TimerRegistry::Published& timers =
+      timing::TimerRegistry::Instance().published();
+  const int timer_count = timers.size();
+  for (int i = 0; i < timer_count; ++i) {
+    const timing::ExecutionTimer* t = timers[i];
+    if (i > 0) SinkStr(s, ",");
+    SinkJsonString(s, t->name().c_str(), t->name().size());
+    const timing::TimingStats stats = t->GetStats();
     SinkStr(s, ":{\"count\":");
-    SinkI64(s, h->count());
-    SinkStr(s, ",\"bounds\":[");
-    for (std::size_t b = 0; b < h->bounds().size(); ++b) {
-      if (b > 0) SinkStr(s, ",");
-      SinkFixed(s, h->bounds()[b]);
-    }
-    SinkStr(s, "]");
-    if (timing) {
-      // The --timing convention: bucket occupancy, extrema, and quantiles
-      // of duration histograms are wall-clock-derived.
-      SinkStr(s, ",\"buckets\":[");
-      for (std::size_t b = 0; b < h->bucket_count(); ++b) {
-        if (b > 0) SinkStr(s, ",");
-        SinkI64(s, h->bucket_value(b));
-      }
-      SinkStr(s, "],\"sum\":");
-      SinkFixed(s, h->sum());
-      SinkStr(s, ",\"min\":");
-      SinkFixed(s, h->min());
-      SinkStr(s, ",\"max\":");
-      SinkFixed(s, h->max());
-      SinkStr(s, ",\"p50\":");
-      SinkQuantile(s, h->Quantile(0.50));
-      SinkStr(s, ",\"p90\":");
-      SinkQuantile(s, h->Quantile(0.90));
-      SinkStr(s, ",\"p99\":");
-      SinkQuantile(s, h->Quantile(0.99));
-    }
+    SinkI64(s, stats.count);
+    if (timing && stats.count > 0) EmitTimerStats(s, stats);
     SinkStr(s, "}");
   }
   SinkStr(s, "}}");

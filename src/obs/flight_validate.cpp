@@ -1,10 +1,11 @@
 #include "obs/flight_validate.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "support/json.h"
 
@@ -60,13 +61,6 @@ bool RequireString(const JsonValue& obj, const std::string& key,
     return Fail(error, where + ": missing string '" + key + "'");
   }
   return true;
-}
-
-// A quantile field is a finite number or the string "+inf".
-bool ValidQuantile(const JsonValue* v) {
-  if (v == nullptr) return false;
-  if (v->kind == JsonValue::Kind::kNumber) return true;
-  return v->kind == JsonValue::Kind::kString && v->string == "+inf";
 }
 
 bool ValidateEvent(const JsonValue& event, std::uint64_t* prev_seq,
@@ -144,9 +138,12 @@ bool ValidateEvent(const JsonValue& event, std::uint64_t* prev_seq,
   return true;
 }
 
-bool ValidateHistogramRow(const std::string& name, const JsonValue& row,
-                          std::string* error) {
-  const std::string where = "histogram '" + name + "'";
+// A timer row: count >= 0. The wall-clock fields appear only in --timing
+// dumps, and then all of them: finite numbers with the quantiles ordered
+// min <= p50 <= p90 <= p95 <= p99 <= max.
+bool ValidateTimerRow(const std::string& name, const JsonValue& row,
+                      std::string* error) {
+  const std::string where = "timer '" + name + "'";
   if (row.kind != JsonValue::Kind::kObject) {
     return Fail(error, where + ": not an object");
   }
@@ -156,46 +153,33 @@ bool ValidateHistogramRow(const std::string& name, const JsonValue& row,
     return Fail(error, where + ": " + getter_error);
   }
   if (count < 0) return Fail(error, where + ": negative count");
-  const JsonValue* bounds = row.Find("bounds");
-  if (bounds == nullptr || bounds->kind != JsonValue::Kind::kArray ||
-      bounds->items.empty()) {
-    return Fail(error, where + ": missing bounds array");
+  static const char* const kOrdered[] = {"min_us", "p50_us", "p90_us",
+                                         "p95_us", "p99_us", "max_us"};
+  int present = row.Find("mean_us") != nullptr;
+  for (const char* field : kOrdered) present += row.Find(field) != nullptr;
+  if (present == 0) return true;
+  if (present != 1 + static_cast<int>(std::size(kOrdered))) {
+    return Fail(error,
+                where + ": timing fields must be all present or all absent");
   }
-  std::vector<double> bound_values;
-  for (const JsonValue& b : bounds->items) {
-    if (b.kind != JsonValue::Kind::kNumber) {
-      return Fail(error, where + ": bounds must be numbers");
-    }
-    bound_values.push_back(b.number);
+  auto finite = [&row](const char* field) {
+    const JsonValue* v = row.Find(field);
+    return v->kind == JsonValue::Kind::kNumber && std::isfinite(v->number);
+  };
+  if (!finite("mean_us")) {
+    return Fail(error, where + ": 'mean_us' must be a finite number");
   }
-  if (!std::is_sorted(bound_values.begin(), bound_values.end())) {
-    return Fail(error, where + ": bounds not ascending");
-  }
-  // Wall-clock fields are optional (present only for --timing dumps) but
-  // must be coherent when present.
-  const JsonValue* buckets = row.Find("buckets");
-  if (buckets != nullptr) {
-    if (buckets->kind != JsonValue::Kind::kArray ||
-        buckets->items.size() != bound_values.size() + 1) {
-      return Fail(error,
-                  where + ": buckets must have length bounds + 1 (overflow)");
+  double prev = -std::numeric_limits<double>::infinity();
+  for (const char* field : kOrdered) {
+    if (!finite(field)) {
+      return Fail(error, where + ": '" + field + "' must be a finite number");
     }
-    std::int64_t total = 0;
-    for (const JsonValue& b : buckets->items) {
-      if (b.kind != JsonValue::Kind::kNumber || b.number < 0) {
-        return Fail(error, where + ": bucket counts must be >= 0");
-      }
-      total += static_cast<std::int64_t>(b.number);
+    const double v = row.Find(field)->number;
+    if (v < prev) {
+      return Fail(error, where + ": '" + field +
+                             "' breaks min <= p50 <= p90 <= p95 <= p99 <= max");
     }
-    if (total != count) {
-      return Fail(error, where + ": bucket sum does not equal count");
-    }
-    for (const char* q : {"p50", "p90", "p99"}) {
-      if (!ValidQuantile(row.Find(q))) {
-        return Fail(error, where + ": missing or malformed '" +
-                               std::string(q) + "'");
-      }
-    }
+    prev = v;
   }
   return true;
 }
@@ -300,7 +284,7 @@ bool ValidateFlightDump(const std::string& json, std::string* error) {
   if (metrics == nullptr || metrics->kind != JsonValue::Kind::kObject) {
     return Fail(error, "missing 'metrics' object");
   }
-  for (const char* section : {"counters", "gauges", "histograms"}) {
+  for (const char* section : {"counters", "gauges", "timers"}) {
     const JsonValue* obj = metrics->Find(section);
     if (obj == nullptr || obj->kind != JsonValue::Kind::kObject) {
       return Fail(error, std::string("metrics missing '") + section + "'");
@@ -316,8 +300,8 @@ bool ValidateFlightDump(const std::string& json, std::string* error) {
       return Fail(error, "gauge '" + name + "' is not a number");
     }
   }
-  for (const auto& [name, value] : metrics->Find("histograms")->members) {
-    if (!ValidateHistogramRow(name, value, error)) return false;
+  for (const auto& [name, value] : metrics->Find("timers")->members) {
+    if (!ValidateTimerRow(name, value, error)) return false;
   }
   return true;
 }

@@ -14,11 +14,11 @@
 //   * threads is an array of {ring, events}; within each thread the
 //     sequence clock is strictly increasing (per-ring merge order), every
 //     event has a known type, and each type carries its required fields;
-//   * the metrics snapshot is well-formed: counters/gauges/histograms
-//     objects present; each histogram has count >= 0, ascending bounds,
-//     and — when the wall-clock fields are present — buckets of length
-//     bounds+1 summing to count, and p50/p90/p99 that are numbers or the
-//     string "+inf".
+//   * the metrics snapshot is well-formed: counters/gauges/timers objects
+//     present; each timer row has count >= 0, and its wall-clock fields
+//     (mean/min/p50/p90/p95/p99/max, in microseconds) are all present or
+//     all absent — when present, finite and ordered min <= p50 <= p90 <=
+//     p95 <= p99 <= max.
 #ifndef CERTKIT_OBS_FLIGHT_VALIDATE_H_
 #define CERTKIT_OBS_FLIGHT_VALIDATE_H_
 

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "support/check.h"
 #include "support/json.h"
 #include "timing/timing.h"
@@ -40,15 +39,12 @@ std::vector<SpanEvent> SpanCapture::Take() {
   return out;
 }
 
-Span::Span(const char* name, const char* cat, timing::ExecutionTimer* timer,
-           Histogram* histogram)
+Span::Span(const char* name, const char* cat, timing::ExecutionTimer* timer)
     : name_(name),
       cat_(cat),
       timer_(timer),
-      histogram_(histogram),
       capture_(TracingEnabled() ? t_capture : nullptr) {
-  measure_wall_ = timer_ != nullptr || histogram_ != nullptr ||
-                  capture_ != nullptr;
+  measure_wall_ = timer_ != nullptr || capture_ != nullptr;
   if (measure_wall_) wall_start_ = std::chrono::steady_clock::now();
   if (capture_ != nullptr) begin_ = capture_->clock_++;
 }
@@ -62,7 +58,6 @@ Span::~Span() {
     if (wall < 0.0) wall = 0.0;  // steady_clock paranoia on odd platforms
   }
   if (timer_ != nullptr) timer_->Record(wall);
-  if (histogram_ != nullptr) histogram_->Record(wall);
   if (capture_ != nullptr) {
     CERTKIT_CHECK_MSG(t_capture == capture_,
                       "Span outlived the SpanCapture it was recorded under");

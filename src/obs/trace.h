@@ -24,9 +24,9 @@
 //  * The global TraceRecorder is only ever appended to from serial merge
 //    sections, in deterministic order; each AddTrack call becomes one
 //    Chrome trace-event thread (tid).
-//  * Wall-clock durations are still measured (they feed the
-//    timing::ExecutionTimer/WCET machinery and the per-stage duration
-//    histograms) but appear in the export only when timing is requested,
+//  * Wall-clock durations are still measured (they feed the per-stage
+//    timing::ExecutionTimer that WCET estimation and the metrics export
+//    read) but appear in the export only when timing is requested,
 //    matching the campaign-JSON --timing convention.
 #ifndef CERTKIT_OBS_TRACE_H_
 #define CERTKIT_OBS_TRACE_H_
@@ -43,12 +43,10 @@ class ExecutionTimer;
 
 namespace certkit::obs {
 
-class Histogram;
-
 // Global span-recording switch. Off by default: Span construction is inert
 // (no clock read, no allocation) unless both tracing is enabled and the
-// calling thread has an active SpanCapture. Timers/histograms passed to a
-// Span are always fed, so enabling tracing never changes WCET statistics.
+// calling thread has an active SpanCapture. A timer passed to a Span is
+// always fed, so enabling tracing never changes WCET statistics.
 void SetTracingEnabled(bool enabled);
 bool TracingEnabled();
 
@@ -92,18 +90,15 @@ class SpanCapture {
 
 // RAII span. Construction marks the logical begin, destruction the logical
 // end; the completed event is appended to the innermost SpanCapture of the
-// constructing thread (if tracing is enabled). The optional sinks are
-// always fed with the measured wall-clock duration:
-//   * `timer`     — the timing::ExecutionTimer whose WCET/pWCET estimates
-//                   should include this region (one instrumentation point,
-//                   both analyses);
-//   * `histogram` — a fixed-bucket duration histogram (seconds).
-// Must be destroyed on the constructing thread, in LIFO order.
+// constructing thread (if tracing is enabled). The optional `timer` — the
+// timing::ExecutionTimer whose statistics should include this region — is
+// always fed with the measured wall-clock duration, so one instrumentation
+// point serves both the trace and the timing analysis. Must be destroyed on
+// the constructing thread, in LIFO order.
 class Span {
  public:
   explicit Span(const char* name, const char* cat = "",
-                timing::ExecutionTimer* timer = nullptr,
-                Histogram* histogram = nullptr);
+                timing::ExecutionTimer* timer = nullptr);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -112,7 +107,6 @@ class Span {
   const char* name_;
   const char* cat_;
   timing::ExecutionTimer* timer_;
-  Histogram* histogram_;
   SpanCapture* capture_;  // capture active at construction (may be null)
   std::int64_t begin_ = 0;
   std::chrono::steady_clock::time_point wall_start_;

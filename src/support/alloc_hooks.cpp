@@ -2,8 +2,9 @@
 //
 // NOT a member of any library target — replacing the global allocation
 // functions affects the whole program, so only targets that measure
-// allocation (the tickperf test, the pipeline_tick bench) compile this
-// translation unit in, via target_sources(<tgt> PRIVATE .../alloc_hooks.cpp).
+// allocation (the tickperf and timing tests, the pipeline_tick bench)
+// compile this translation unit in, via
+// target_sources(<tgt> PRIVATE .../alloc_hooks.cpp).
 // Putting it in a static library would be fragile anyway: nothing references
 // these symbols by name, so the archive member would never be pulled in.
 //

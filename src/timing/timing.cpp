@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <numbers>
 
 #include "support/check.h"
@@ -11,6 +13,50 @@ namespace certkit::timing {
 namespace {
 
 constexpr double kEulerMascheroni = 0.5772156649015329;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+static_assert(ExecutionTimer::BucketOf(~std::uint64_t{0}) ==
+                  ExecutionTimer::kBuckets - 1,
+              "the top bucket must end at 2^64 - 1 ns");
+static_assert(ExecutionTimer::BucketUpperNanos(ExecutionTimer::kBuckets - 1) ==
+              ~std::uint64_t{0});
+
+// Seconds to nanoseconds: round to nearest, then up by one if the result,
+// read back as seconds, would sit below the sample. Every bucket upper
+// bound converted back to seconds is therefore >= each sample in it (the
+// quantile guarantee), and a duration that came from whole nanoseconds maps
+// back to exactly those nanoseconds.
+std::uint64_t ToNanos(double seconds) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  const double rounded = std::round(seconds * 1e9);
+  if (rounded >= kTwoTo64) return std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t ns = static_cast<std::uint64_t>(rounded);
+  if (static_cast<double>(ns) / 1e9 < seconds) ++ns;
+  return ns;
+}
+
+// Nearest-rank position of quantile q among `total` samples: ceil(q * N),
+// at least 1, with q clamped to [0, 1] (NaN maps to the minimum).
+std::int64_t Rank(double q, std::int64_t total) {
+  if (!(q >= 0.0)) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  return std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(total))));
+}
+
+void AtomicMin(std::atomic<double>& slot, double v) {
+  double cur = slot.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMax(std::atomic<double>& slot, double v) {
+  double cur = slot.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
@@ -23,61 +69,91 @@ double NearestRankQuantile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(index, sorted.size() - 1)];
 }
 
-ExecutionTimer::ExecutionTimer(std::string name) : name_(std::move(name)) {}
-
-void ExecutionTimer::Reserve(std::size_t samples) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (samples_.capacity() < samples_.size() + samples) {
-    samples_.reserve(samples_.size() + samples);
-  }
-}
+ExecutionTimer::ExecutionTimer(std::string name)
+    : name_(std::move(name)), min_(kInf), max_(-kInf) {}
 
 void ExecutionTimer::Record(double seconds) {
-  CERTKIT_CHECK_MSG(seconds >= 0.0, "negative execution time");
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.push_back(seconds);
+  CERTKIT_CHECK_MSG(seconds >= 0.0 && seconds < kInf,
+                    "execution time must be finite and non-negative");
+  const std::uint64_t ns = ToNanos(seconds);
+  buckets_[BucketOf(ns)].fetch_add(1, std::memory_order_relaxed);
+  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+  AtomicMin(min_, seconds);
+  AtomicMax(max_, seconds);
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 std::int64_t ExecutionTimer::sample_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(samples_.size());
+  return count_.load(std::memory_order_acquire);
+}
+
+void ExecutionTimer::WalkQuantiles(std::span<const double> qs,
+                                   std::span<double> out, std::int64_t total,
+                                   double lo, double hi) const {
+  std::size_t k = 0;
+  // The top bucket also holds every clamped duration, so `hi` (the exact
+  // maximum) is its only sound bound: the walk stops one bucket short.
+  std::int64_t seen = 0;
+  for (int i = 0; i + 1 < kBuckets && k < qs.size(); ++i) {
+    seen += bucket_value(i);
+    const double bound = static_cast<double>(BucketUpperNanos(i)) / 1e9;
+    while (k < qs.size() && seen >= Rank(qs[k], total)) {
+      out[k++] = std::min(std::max(bound, lo), hi);
+    }
+  }
+  for (; k < qs.size(); ++k) out[k] = hi;
+}
+
+double ExecutionTimer::Quantile(double q) const {
+  const std::int64_t total = sample_count();
+  if (total <= 0) return 0.0;
+  double out = 0.0;
+  WalkQuantiles({&q, 1}, {&out, 1}, total,
+                min_.load(std::memory_order_relaxed),
+                max_.load(std::memory_order_relaxed));
+  return out;
 }
 
 TimingStats ExecutionTimer::GetStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   TimingStats stats;
-  stats.count = static_cast<std::int64_t>(samples_.size());
-  if (samples_.empty()) return stats;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  stats.min = sorted.front();
-  stats.max = sorted.back();
-  double sum = 0.0;
-  for (double v : sorted) sum += v;
-  stats.mean = sum / static_cast<double>(sorted.size());
-  stats.p95 = NearestRankQuantile(sorted, 0.95);
-  stats.p99 = NearestRankQuantile(sorted, 0.99);
+  stats.count = sample_count();
+  if (stats.count == 0) return stats;
+  stats.min = min_.load(std::memory_order_relaxed);
+  stats.max = max_.load(std::memory_order_relaxed);
+  stats.mean = static_cast<double>(sum_nanos()) / 1e9 /
+               static_cast<double>(stats.count);
+  static constexpr double kQs[] = {0.50, 0.90, 0.95, 0.99};
+  double q[std::size(kQs)];
+  WalkQuantiles(kQs, q, stats.count, stats.min, stats.max);
+  stats.p50 = q[0];
+  stats.p90 = q[1];
+  stats.p95 = q[2];
+  stats.p99 = q[3];
   return stats;
-}
-
-std::int64_t ExecutionTimer::CountOver(double deadline) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::int64_t n = 0;
-  for (double v : samples_) {
-    if (v > deadline) ++n;
-  }
-  return n;
 }
 
 double ExecutionTimer::EstimateWcetEnvelope(double margin) const {
   CERTKIT_CHECK(margin >= 1.0);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end()) * margin;
+  if (sample_count() == 0) return 0.0;
+  return max_.load(std::memory_order_relaxed) * margin;
 }
 
-support::Result<double> ExecutionTimer::EstimatePwcet(
-    double exceedance_probability, int block_size) const {
+void ExecutionTimer::Reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_ns_.store(0, std::memory_order_relaxed);
+  min_.store(kInf, std::memory_order_relaxed);
+  max_.store(-kInf, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_release);
+}
+
+std::int64_t CountOver(const std::vector<double>& samples, double deadline) {
+  return std::count_if(samples.begin(), samples.end(),
+                       [deadline](double v) { return v > deadline; });
+}
+
+support::Result<double> EstimatePwcet(const std::vector<double>& samples,
+                                      double exceedance_probability,
+                                      int block_size) {
   if (exceedance_probability <= 0.0 || exceedance_probability >= 1.0) {
     return support::InvalidArgumentError(
         "exceedance probability must be in (0, 1)");
@@ -85,19 +161,12 @@ support::Result<double> ExecutionTimer::EstimatePwcet(
   if (block_size < 1) {
     return support::InvalidArgumentError("block size must be positive");
   }
+  const std::size_t block = static_cast<std::size_t>(block_size);
   std::vector<double> maxima;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t start = 0;
-         start + static_cast<std::size_t>(block_size) <= samples_.size();
-         start += static_cast<std::size_t>(block_size)) {
-      double block_max = samples_[start];
-      for (std::size_t i = start + 1;
-           i < start + static_cast<std::size_t>(block_size); ++i) {
-        block_max = std::max(block_max, samples_[i]);
-      }
-      maxima.push_back(block_max);
-    }
+  for (std::size_t start = 0; start + block <= samples.size();
+       start += block) {
+    maxima.push_back(*std::max_element(samples.begin() + start,
+                                       samples.begin() + start + block));
   }
   if (maxima.size() < 2) {
     return support::InvalidArgumentError(
@@ -128,11 +197,6 @@ support::Result<double> ExecutionTimer::EstimatePwcet(
   return mu - beta * std::log(-std::log(q));
 }
 
-void ExecutionTimer::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.clear();
-}
-
 TimerRegistry& TimerRegistry::Instance() {
   static TimerRegistry* registry = new TimerRegistry();
   return *registry;
@@ -143,6 +207,7 @@ ExecutionTimer& TimerRegistry::GetOrCreate(const std::string& name) {
   auto it = timers_.find(name);
   if (it == timers_.end()) {
     it = timers_.emplace(name, std::make_unique<ExecutionTimer>(name)).first;
+    published_.Append(it->second.get());
   }
   return *it->second;
 }

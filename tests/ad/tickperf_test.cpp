@@ -24,7 +24,6 @@
 #include "gtest/gtest.h"
 #include "nn/detector.h"
 #include "support/alloc_counter.h"
-#include "timing/timing.h"
 
 namespace {
 
@@ -33,22 +32,6 @@ using certkit::support::AllocScope;
 
 constexpr int kWarmupTicks = 60;
 constexpr int kMeasuredTicks = 30;
-
-// Every ExecutionTimer the tick path feeds each cycle. Reserving their
-// sample buffers up front keeps Record() off the allocator during the
-// measured window (sample recording is observability, not tick logic, but
-// it runs inside the tick and must obey the same discipline).
-void ReserveTickTimers(int ticks) {
-  static const char* kTimers[] = {
-      "adpilot/tick",     "adpilot/perception",  "adpilot/prediction",
-      "adpilot/planning", "adpilot/control",     "adpilot/canbus",
-      "adpilot/localization", "adpilot/safety",  "adpilot/tick_effective",
-  };
-  auto& registry = certkit::timing::TimerRegistry::Instance();
-  for (const char* name : kTimers) {
-    registry.GetOrCreate(name).Reserve(static_cast<std::size_t>(ticks) + 8);
-  }
-}
 
 adpilot::PilotConfig MakeConfig(nn::Backend backend, bool quantized) {
   adpilot::PilotConfig cfg;
@@ -86,7 +69,6 @@ TEST(TickPerf, SteadyStateTickAllocatesNothing) {
     for (int i = 0; i < kWarmupTicks; ++i) pilot.Tick();
     const std::uint64_t warmup_allocs = warmup_scope.allocations();
 
-    ReserveTickTimers(kMeasuredTicks);
     AllocScope steady_scope;
     for (int i = 0; i < kMeasuredTicks; ++i) pilot.Tick();
     const std::uint64_t steady_allocs = steady_scope.allocations();
@@ -118,7 +100,6 @@ TEST(TickPerf, CapturedSteadyStateTickAllocatesNothing) {
     certkit::cov::ThreadCapture capture;
     for (int i = 0; i < kWarmupTicks; ++i) pilot.Tick();
 
-    ReserveTickTimers(kMeasuredTicks);
     AllocScope steady_scope;
     for (int i = 0; i < kMeasuredTicks; ++i) pilot.Tick();
     const std::uint64_t steady_allocs = steady_scope.allocations();

@@ -148,7 +148,7 @@ TEST(ServeStdin, StatsAreDeterministicAtFixedSeedWithTimingOff) {
 TEST(ServeStdin, StatsJsonShapeAndTimingGating) {
   ResetTelemetry();
   // Timing off: recorder occupancy numbers that depend on live thread
-  // scheduling (ring count) and wall-clock-derived histogram fields are
+  // scheduling (ring count) and wall-clock-derived timer statistics are
   // absent; structure and deterministic counters are present.
   const std::string without = campaign::ServiceStatsJson(false);
   support::JsonValue root;

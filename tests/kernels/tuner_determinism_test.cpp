@@ -87,7 +87,9 @@ TEST(TunerDeterminismTest, PickIsArgminOfModeledCostWithLowestIndexTie) {
       const std::uint64_t cost = isaac_sim::ModeledConfigCost(s, c, sms);
       ASSERT_GE(cost, best) << "config " << c << " sms " << sms;
       // Lowest-index tie-break: nothing cheaper OR EQUAL before the pick.
-      if (c < pick) ASSERT_GT(cost, best) << "config " << c;
+      if (c < pick) {
+        ASSERT_GT(cost, best) << "config " << c;
+      }
     }
   }
 }

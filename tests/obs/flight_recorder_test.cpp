@@ -1,8 +1,8 @@
 // Flight-recorder unit tests: ring wraparound/overwrite as a property over
 // the record count, headline extraction (last completed stage / safety
 // state), the artifact pointer, the name tables the dump schema depends
-// on, and the histogram quantile law pinned against the timing layer's
-// NearestRankQuantile (the pre-existing reference implementation).
+// on, and the stage timer's bucket quantile law pinned against the timing
+// layer's NearestRankQuantile (the reference over raw samples).
 //
 // All tests run on the gtest main thread, so every dump drains exactly one
 // ring; each dump is additionally round-tripped through the independent
@@ -187,75 +187,111 @@ TEST(FlightRecorder, NameTablesArePinned) {
 
 // --- quantiles -----------------------------------------------------------
 
-// Histogram::Quantile obeys the same nearest-rank law as the timing
+// ExecutionTimer::Quantile obeys the same nearest-rank law as the timing
 // layer's NearestRankQuantile. When every recorded sample sits exactly on
 // a bucket upper bound, the bucketed quantile must equal the exact one.
 TEST(HistogramQuantile, MatchesNearestRankOnBucketBounds) {
-  const std::vector<double> bounds = {1.0, 2.0, 4.0, 8.0};
-  obs::Histogram h(bounds);
+  using certkit::timing::ExecutionTimer;
+  ExecutionTimer t("flight_test/bounds");
   std::vector<double> samples;
-  // 3x 1.0, 2x 2.0, 4x 4.0, 1x 8.0 — uneven occupancy on purpose.
-  for (int i = 0; i < 3; ++i) samples.push_back(1.0);
-  for (int i = 0; i < 2; ++i) samples.push_back(2.0);
-  for (int i = 0; i < 4; ++i) samples.push_back(4.0);
-  samples.push_back(8.0);
-  for (double v : samples) h.Record(v);
+  // Bounds of four buckets spread over three decades, uneven occupancy on
+  // purpose: 3x, 2x, 4x, 1x.
+  const int counts[] = {3, 2, 4, 1};
+  const std::uint64_t near_ns[] = {900, 40000, 2000000, 70000000};
+  for (int b = 0; b < 4; ++b) {
+    const double bound = static_cast<double>(ExecutionTimer::BucketUpperNanos(
+                             ExecutionTimer::BucketOf(near_ns[b]))) /
+                         1e9;
+    for (int i = 0; i < counts[b]; ++i) samples.push_back(bound);
+  }
+  for (double v : samples) t.Record(v);
 
   for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.Quantile(q),
+    EXPECT_DOUBLE_EQ(t.Quantile(q),
                      certkit::timing::NearestRankQuantile(samples, q))
         << "q=" << q;
   }
 }
 
-TEST(HistogramQuantile, OverflowBucketReportsInfinity) {
-  obs::Histogram h({1.0, 2.0});
-  h.Record(0.5);
-  h.Record(100.0);  // overflow: above the last bound
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.0);
-  EXPECT_TRUE(std::isinf(h.Quantile(1.0)));
-  EXPECT_GT(h.Quantile(1.0), 0.0);
+// There is no overflow bucket: the range ends at 2^64 - 1 ns and every
+// quantile is capped at the exact maximum, so the top quantile of a timer
+// is its high-water mark, never +inf.
+TEST(HistogramQuantile, TopQuantileIsTheExactMaximum) {
+  certkit::timing::ExecutionTimer t("flight_test/top");
+  t.Record(0.5e-3);
+  t.Record(1e6);    // a synthetic overrun
+  t.Record(123.4);  // inside a wide bucket: its upper bound is above it
+  EXPECT_DOUBLE_EQ(t.Quantile(1.0), 1e6);
+  EXPECT_TRUE(std::isfinite(t.Quantile(1.0)));
+  EXPECT_GE(t.Quantile(0.5), 123.4);
+  EXPECT_LT(t.Quantile(0.5), 123.4 * 1.032);
 }
 
 TEST(HistogramQuantile, EmptyHistogramReportsZero) {
-  obs::Histogram h({1.0});
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+  certkit::timing::ExecutionTimer t("flight_test/empty");
+  EXPECT_DOUBLE_EQ(t.Quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(t.GetStats().min, 0.0);
+  EXPECT_DOUBLE_EQ(t.GetStats().max, 0.0);
 }
 
-// The free-function form (used by the JSON exporter and the dump writer)
-// agrees with the member form for identical bucket contents.
+// The free-function rule over raw samples and the member rule over
+// buckets agree exactly when each sample is a whole number of nanoseconds
+// in a one-nanosecond bucket (below 2 * kSubBuckets ns), and the stats
+// quantiles are the member's.
 TEST(HistogramQuantile, FreeFunctionMatchesMember) {
-  const std::vector<double> bounds = {0.5, 1.0, 2.0};
-  obs::Histogram h(bounds);
-  for (double v : {0.1, 0.6, 0.7, 1.5, 9.0}) h.Record(v);
-  const std::vector<std::int64_t> buckets = h.BucketCounts();
-  ASSERT_EQ(buckets.size(), bounds.size() + 1);
+  certkit::timing::ExecutionTimer t("flight_test/member");
+  std::vector<double> samples;
+  for (int ns : {5, 9, 9, 17, 33, 40, 41, 63}) {
+    samples.push_back(static_cast<double>(ns) / 1e9);
+    t.Record(samples.back());
+  }
   for (const double q : {0.01, 0.2, 0.5, 0.8, 1.0}) {
-    EXPECT_DOUBLE_EQ(obs::HistogramQuantile(bounds, buckets, q), h.Quantile(q))
+    EXPECT_DOUBLE_EQ(certkit::timing::NearestRankQuantile(samples, q),
+                     t.Quantile(q))
         << "q=" << q;
   }
-  EXPECT_DOUBLE_EQ(obs::HistogramQuantile(bounds, {0, 0, 0, 0}, 0.5), 0.0);
+  const certkit::timing::TimingStats stats = t.GetStats();
+  EXPECT_DOUBLE_EQ(stats.p50, t.Quantile(0.50));
+  EXPECT_DOUBLE_EQ(stats.p90, t.Quantile(0.90));
+  EXPECT_DOUBLE_EQ(stats.p95, t.Quantile(0.95));
+  EXPECT_DOUBLE_EQ(stats.p99, t.Quantile(0.99));
 }
 
-// MetricsJson keeps quantiles behind include_timing: bucket occupancy of
-// duration histograms is wall-clock-derived, so a timing-off export must
-// not leak p50/p90/p99 (the determinism contract other tests diff against).
+// MetricsJson and the flight dump keep timer quantiles behind
+// include_timing: they are wall-clock-derived, so a timing-off export must
+// not leak them (the determinism contract other tests diff against).
 TEST(HistogramQuantile, MetricsJsonGatesQuantilesBehindTiming) {
   auto& registry = obs::MetricsRegistry::Instance();
   registry.ResetAll();
-  registry.GetHistogram("flight_test/gating", {1.0, 2.0}).Record(1.5);
+  auto& timer = certkit::timing::TimerRegistry::Instance().GetOrCreate(
+      "flight_test/gating");
+  timer.Reset();
+  timer.Record(1.5);
 
   const std::string without = obs::MetricsJson(registry.Snapshot(), false);
-  EXPECT_EQ(without.find("\"p50\""), std::string::npos);
-  EXPECT_EQ(without.find("\"buckets\""), std::string::npos);
+  EXPECT_NE(without.find("\"flight_test/gating\":{\"count\":1}"),
+            std::string::npos);
+  EXPECT_EQ(without.find("\"p50_us\""), std::string::npos);
 
   const std::string with = obs::MetricsJson(registry.Snapshot(), true);
-  EXPECT_NE(with.find("\"p50\""), std::string::npos);
-  EXPECT_NE(with.find("\"p90\""), std::string::npos);
-  EXPECT_NE(with.find("\"p99\""), std::string::npos);
-  EXPECT_NE(with.find("\"buckets\""), std::string::npos);
+  EXPECT_NE(with.find("\"p50_us\""), std::string::npos);
+  EXPECT_NE(with.find("\"p90_us\""), std::string::npos);
+  EXPECT_NE(with.find("\"p99_us\""), std::string::npos);
+
+  // The flight dump carries the same timer row, gated the same way.
+  std::string error;
+  obs::SetFlightWallClock(false);
+  const std::string lean_dump =
+      obs::FlightDumpString(obs::FlightDumpTrigger::kExplicit);
+  EXPECT_TRUE(obs::ValidateFlightDump(lean_dump, &error)) << error;
+  EXPECT_NE(lean_dump.find("\"flight_test/gating\":{\"count\":1}"),
+            std::string::npos);
+  obs::SetFlightWallClock(true);
+  const std::string full_dump =
+      obs::FlightDumpString(obs::FlightDumpTrigger::kExplicit);
+  obs::SetFlightWallClock(false);
+  EXPECT_TRUE(obs::ValidateFlightDump(full_dump, &error)) << error;
+  EXPECT_NE(full_dump.find("\"p50_us\""), std::string::npos);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // raises SIGABRT. The parent asserts that (a) the child still died *by
 // SIGABRT* — arming the recorder must not change the process's
 // termination status — and (b) the pre-opened fd now holds a validating
-// dump whose headline names the last completed pipeline stage.
+// dump whose headline names the last completed pipeline stage. The child
+// runs with the wall clock on (a --timing dump), so the stage timer rows
+// carry their statistics and the validator checks those too.
 //
 // This is the acceptance criterion of the flight-recorder PR exercised
 // hermetically (the CLI-level variant is `kill -ABRT` of a running
@@ -39,6 +41,7 @@ TEST(FlightSignal, AbortedChildLeavesValidatingDump) {
     // Child. No gtest assertions here — distinct _exit codes diagnose the
     // failure mode instead (the parent expects none of them to be reached).
     obs::ResetFlightRecorderForTesting();
+    obs::SetFlightWallClock(true);
     if (!obs::InstallFlightSignalHandlers(dump_path)) ::_exit(3);
     adpilot::PilotConfig cfg;
     cfg.safety.tick_deadline = 5.0;  // generous: no deadline trips wanted
@@ -96,6 +99,17 @@ TEST(FlightSignal, AbortedChildLeavesValidatingDump) {
       support::JsonGetI64(*dump, "events_recorded", &recorded, &error))
       << error;
   EXPECT_GT(recorded, 0);
+
+  // Every stage timer the pipeline fed has a full, ordered statistics row.
+  const support::JsonValue* timers = dump->Find("metrics")->Find("timers");
+  ASSERT_NE(timers, nullptr);
+  const support::JsonValue* tick = timers->Find("adpilot/tick");
+  ASSERT_NE(tick, nullptr);
+  std::int64_t count = 0;
+  ASSERT_TRUE(support::JsonGetI64(*tick, "count", &count, &error)) << error;
+  EXPECT_GE(count, 5);
+  ASSERT_NE(tick->Find("p99_us"), nullptr);
+  EXPECT_GT(tick->Find("max_us")->number, 0.0);
 }
 
 }  // namespace

@@ -15,8 +15,14 @@ namespace obs = certkit::obs;
 
 namespace {
 
+// One timer row of a --timing dump, wall-clock fields coherent.
+constexpr const char* kTimerRow =
+    R"("adpilot/tick":{"count":3,"mean_us":1833.333,"min_us":500,)"
+    R"("p50_us":2000,"p90_us":3000,"p95_us":3000,"p99_us":3000,)"
+    R"("max_us":3000})";
+
 // A minimal structurally-valid dump: one thread, three event shapes, one
-// histogram with wall-clock fields present and coherent.
+// timer with wall-clock fields present and coherent.
 std::string GoodDump() {
   return R"({"flight_dump":{"schema":1,)"
          R"("trigger":{"kind":"signal","signal":6,"name":"SIGABRT"},)"
@@ -31,9 +37,7 @@ std::string GoodDump() {
          R"("from":"nominal","transition":1}]}],)"
          R"("metrics":{"counters":{"safety/violations":1},)"
          R"("gauges":{"service/queue_depth":0},)"
-         R"("histograms":{"tick/duration":{"count":3,"bounds":[1,2,4],)"
-         R"("buckets":[1,1,1,0],"sum":5.5,"min":0.5,"max":3.0,)"
-         R"("p50":2,"p90":4,"p99":4}}}}})";
+         R"("timers":{)" + std::string(kTimerRow) + "}}}}";
 }
 
 // Applies one find/replace to the good dump; the needle must exist.
@@ -57,13 +61,13 @@ TEST(FlightValidate, AcceptsGoodDump) {
 }
 
 TEST(FlightValidate, AcceptsMinimalDump) {
-  // No artifact, no events, timing-off histogram (no buckets/quantiles).
+  // No artifact, no events, timing-off timer (count only).
   const std::string doc =
       R"({"flight_dump":{"schema":1,"trigger":{"kind":"explicit"},)"
       R"("last_completed_stage":"none","safety_state":"nominal",)"
       R"("events_recorded":0,"events_dropped":0,"threads":[],)"
       R"("metrics":{"counters":{},"gauges":{},)"
-      R"("histograms":{"tick/duration":{"count":0,"bounds":[1]}}}}})";
+      R"("timers":{"adpilot/tick":{"count":0}}}}})";
   std::string error;
   EXPECT_TRUE(obs::ValidateFlightDump(doc, &error)) << error;
 }
@@ -150,34 +154,50 @@ TEST(FlightValidate, RejectsMalformedThreads) {
       R"({"flight_dump":{"schema":1,"trigger":{"kind":"explicit"},)"
       R"("last_completed_stage":"none","safety_state":"nominal",)"
       R"("events_recorded":0,"events_dropped":0,"threads":{},)"
-      R"("metrics":{"counters":{},"gauges":{},"histograms":{}}}})";
+      R"("metrics":{"counters":{},"gauges":{},"timers":{}}}})";
   ExpectInvalid(doc, "threads must be an array");
 }
 
-TEST(FlightValidate, RejectsIncoherentHistogram) {
-  ExpectInvalid(Mutate(R"("buckets":[1,1,1,0])", R"("buckets":[1,1,1])"),
-                "buckets must be bounds + 1 long");
-  ExpectInvalid(Mutate(R"("buckets":[1,1,1,0])", R"("buckets":[1,1,0,0])"),
-                "bucket sum must equal count");
-  ExpectInvalid(Mutate(R"("bounds":[1,2,4])", R"("bounds":[4,2,1])"),
-                "bounds must ascend");
-  ExpectInvalid(Mutate(R"("bounds":[1,2,4])", R"("bounds":[])"),
-                "bounds must be non-empty");
-  ExpectInvalid(Mutate(R"("p50":2,)", ""),
-                "buckets present requires quantiles");
-  ExpectInvalid(Mutate(R"("p99":4)", R"("p99":"soon")"),
-                "quantiles are numbers or \"+inf\"");
-  ExpectInvalid(Mutate(R"("count":3)", R"("count":-3)"),
-                "negative count");
+TEST(FlightValidate, RejectsIncoherentTimer) {
+  ExpectInvalid(Mutate(R"("count":3)", R"("count":-3)"), "negative count");
+  ExpectInvalid(Mutate(R"("count":3)", R"("count":"3")"),
+                "count must be a number");
+  ExpectInvalid(Mutate(kTimerRow, R"("adpilot/tick":3)"),
+                "a timer row is an object");
 }
 
-TEST(FlightValidate, AcceptsInfQuantileSpelling) {
+TEST(FlightValidate, RejectsPartialTimingFields) {
+  ExpectInvalid(Mutate(R"("p50_us":2000,)", ""),
+                "timing fields come all together");
+  ExpectInvalid(Mutate(R"("mean_us":1833.333,)", ""),
+                "mean is a timing field too");
+  // All absent is the timing-off shape and stays valid.
   std::string error;
   EXPECT_TRUE(obs::ValidateFlightDump(
-      Mutate(R"("p99":4)", R"("p99":"+inf")"), &error))
+      Mutate(kTimerRow, R"("adpilot/tick":{"count":3})"), &error))
       << error;
-  ExpectInvalid(Mutate(R"("p99":4)", R"("p99":"inf")"),
-                "only the \"+inf\" spelling is legal");
+}
+
+TEST(FlightValidate, RejectsUnorderedTimerQuantiles) {
+  ExpectInvalid(Mutate(R"("min_us":500)", R"("min_us":2500)"),
+                "min above p50");
+  ExpectInvalid(Mutate(R"("p50_us":2000)", R"("p50_us":3500)"),
+                "p50 above p90");
+  ExpectInvalid(Mutate(R"("p99_us":3000)", R"("p99_us":2999)"),
+                "p99 below p95");
+  ExpectInvalid(Mutate(R"("max_us":3000)", R"("max_us":100)"),
+                "max below p99");
+}
+
+// The retired histogram rows spelled an unbounded quantile "+inf"; timer
+// quantiles are capped at the exact maximum, so any non-number is invalid.
+TEST(FlightValidate, RejectsInfQuantileSpelling) {
+  ExpectInvalid(Mutate(R"("p99_us":3000)", R"("p99_us":"+inf")"),
+                "quantiles are finite numbers");
+  ExpectInvalid(Mutate(R"("max_us":3000)", R"("max_us":null)"),
+                "max is a finite number");
+  ExpectInvalid(Mutate(R"("mean_us":1833.333)", R"("mean_us":"n/a")"),
+                "mean is a finite number");
 }
 
 TEST(FlightValidate, RejectsMissingMetricsSections) {

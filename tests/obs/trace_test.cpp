@@ -1,7 +1,8 @@
 // Unit tests for the obs layer: the logical span clock, capture isolation,
-// the metrics primitives (counter/gauge/histogram edge cases), and the
-// Chrome trace-event exporter against its independent validator.
-#include <cmath>
+// the metrics primitives (counter/gauge edge cases, the stage timer a Span
+// feeds), and the Chrome trace-event exporter against its independent
+// validator.
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_validate.h"
+#include "support/check.h"
 #include "support/json.h"
 #include "timing/timing.h"
 
@@ -126,15 +128,20 @@ TEST(SpanTest, InertWhenTracingDisabled) {
   EXPECT_TRUE(capture.Take().empty());
 }
 
+// The timer is the stage's one duration sink: its exact count and its
+// histogram buckets both take the sample, with or without a capture.
 TEST(SpanTest, FeedsTimerAndHistogramEvenWithoutCapture) {
   SetTracingEnabled(false);
   auto& timer =
       timing::TimerRegistry::Instance().GetOrCreate("obs_test/span_timer");
-  const std::int64_t before = timer.GetStats().count;
-  Histogram hist({1.0});
-  { Span a("a", "t", &timer, &hist); }
-  EXPECT_EQ(timer.GetStats().count, before + 1);
-  EXPECT_EQ(hist.count(), 1);
+  timer.Reset();
+  { Span a("a", "t", &timer); }
+  EXPECT_EQ(timer.GetStats().count, 1);
+  std::int64_t bucket_total = 0;
+  for (int i = 0; i < timing::ExecutionTimer::kBuckets; ++i) {
+    bucket_total += timer.bucket_value(i);
+  }
+  EXPECT_EQ(bucket_total, 1);
 }
 
 TEST(TraceRecorderTest, TrackIdsAreDenseInCallOrder) {
@@ -170,51 +177,70 @@ TEST(GaugeTest, SetValueReset) {
   EXPECT_EQ(g.value(), 0.0);
 }
 
+// The stage timer's buckets have inclusive upper bounds in whole
+// nanoseconds: a duration exactly on a bound stays in that bucket, the
+// next nanosecond opens the next one.
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0});
-  h.Record(0.5);   // below the first bound -> bucket 0
-  h.Record(1.0);   // exactly on a bound -> that bucket (inclusive)
-  h.Record(std::nextafter(1.0, 2.0));  // just above -> next bucket
-  h.Record(2.0);   // on the last bound -> last bounded bucket
-  h.Record(2.5);   // above every bound -> overflow bucket
-  const auto buckets = h.BucketCounts();
-  ASSERT_EQ(buckets.size(), 3u);  // two bounds + overflow
-  EXPECT_EQ(buckets[0], 2);
-  EXPECT_EQ(buckets[1], 2);
-  EXPECT_EQ(buckets[2], 1);
-  EXPECT_EQ(h.count(), 5);
+  using timing::ExecutionTimer;
+  ExecutionTimer t("obs_test/bounds");
+  const int bucket = ExecutionTimer::BucketOf(1000000);  // 1 ms
+  const std::uint64_t upper = ExecutionTimer::BucketUpperNanos(bucket);
+  t.Record(static_cast<double>(upper) / 1e9);      // on the bound
+  t.Record(static_cast<double>(upper - 1) / 1e9);  // inside
+  t.Record(static_cast<double>(upper + 1) / 1e9);  // just above
+  EXPECT_EQ(t.bucket_value(bucket), 2);
+  EXPECT_EQ(t.bucket_value(bucket + 1), 1);
+  EXPECT_EQ(t.sample_count(), 3);
+  EXPECT_DOUBLE_EQ(t.Quantile(0.5), static_cast<double>(upper) / 1e9);
 }
 
+// The first bucket is exactly 0 ns: negative zero lands there beside a
+// zero duration. A truly negative duration is a clock fault and is refused
+// before it reaches any bucket.
 TEST(HistogramTest, NegativeSamplesLandInFirstBucket) {
-  Histogram h({1.0});
-  h.Record(-5.0);
-  EXPECT_EQ(h.BucketCounts()[0], 1);
-  EXPECT_EQ(h.min(), -5.0);
+  timing::ExecutionTimer t("obs_test/first_bucket");
+  EXPECT_EQ(timing::ExecutionTimer::BucketUpperNanos(0), 0u);
+  t.Record(-0.0);
+  t.Record(0.0);
+  EXPECT_THROW(t.Record(-5.0), support::ContractViolation);
+  EXPECT_EQ(t.bucket_value(0), 2);
+  EXPECT_EQ(t.sample_count(), 2);
+  EXPECT_EQ(t.GetStats().min, 0.0);
+  EXPECT_EQ(t.sum_nanos(), 0u);
 }
 
+// NaN and infinite durations never count: count, sum, extrema and every
+// bucket are as they were before the attempt.
 TEST(HistogramTest, NonFiniteSamplesAreDroppedEntirely) {
-  Histogram h({1.0});
-  h.Record(std::numeric_limits<double>::quiet_NaN());
-  h.Record(std::numeric_limits<double>::infinity());
-  h.Record(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.sum(), 0.0);
-  for (const auto b : h.BucketCounts()) EXPECT_EQ(b, 0);
+  timing::ExecutionTimer t("obs_test/non_finite");
+  EXPECT_THROW(t.Record(std::numeric_limits<double>::quiet_NaN()),
+               support::ContractViolation);
+  EXPECT_THROW(t.Record(std::numeric_limits<double>::infinity()),
+               support::ContractViolation);
+  EXPECT_THROW(t.Record(-std::numeric_limits<double>::infinity()),
+               support::ContractViolation);
+  EXPECT_EQ(t.sample_count(), 0);
+  EXPECT_EQ(t.sum_nanos(), 0u);
+  EXPECT_EQ(t.GetStats().max, 0.0);
+  for (int i = 0; i < timing::ExecutionTimer::kBuckets; ++i) {
+    EXPECT_EQ(t.bucket_value(i), 0) << i;
+  }
 }
 
 TEST(HistogramTest, SumMinMaxAndReset) {
-  Histogram h({10.0});
-  h.Record(1.0);
-  h.Record(4.0);
-  h.Record(2.0);
-  EXPECT_EQ(h.count(), 3);
-  EXPECT_DOUBLE_EQ(h.sum(), 7.0);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 4.0);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
+  timing::ExecutionTimer t("obs_test/sum");
+  t.Record(1.0);
+  t.Record(4.0);
+  t.Record(2.0);
+  const timing::TimingStats stats = t.GetStats();
+  EXPECT_EQ(stats.count, 3);
+  EXPECT_EQ(t.sum_nanos(), 7000000000u);
+  EXPECT_EQ(stats.min, 1.0);
+  EXPECT_EQ(stats.max, 4.0);
+  t.Reset();
+  EXPECT_EQ(t.GetStats().count, 0);
+  EXPECT_EQ(t.GetStats().min, 0.0);
+  EXPECT_EQ(t.GetStats().max, 0.0);
 }
 
 TEST(MetricsRegistryTest, ReferencesSurviveResetAll) {
@@ -227,27 +253,22 @@ TEST(MetricsRegistryTest, ReferencesSurviveResetAll) {
   EXPECT_EQ(registry.GetCounter("obs_test/stable_ref").value(), 1);
 }
 
-TEST(MetricsRegistryTest, HistogramBoundsFixedOnFirstRegistration) {
-  auto& registry = MetricsRegistry::Instance();
-  Histogram& h = registry.GetHistogram("obs_test/bounds_once", {1.0, 2.0});
-  Histogram& again = registry.GetHistogram("obs_test/bounds_once", {99.0});
-  EXPECT_EQ(&h, &again);
-  EXPECT_EQ(again.bounds().size(), 2u);
-}
-
 TEST(MetricsJsonTest, TimingFieldsAreGated) {
   auto& registry = MetricsRegistry::Instance();
   registry.GetCounter("obs_test/json_counter").Add(3);
-  registry.GetHistogram("obs_test/json_hist", {1.0}).Record(0.5);
+  auto& timer = timing::TimerRegistry::Instance().GetOrCreate(
+      "obs_test/json_timer");
+  timer.Reset();
+  timer.Record(0.5);
   const auto snapshot = registry.Snapshot();
   const std::string lean = MetricsJson(snapshot, /*include_timing=*/false);
   EXPECT_NE(lean.find("\"obs_test/json_counter\":3"), std::string::npos);
-  EXPECT_NE(lean.find("\"count\":1"), std::string::npos);
-  EXPECT_EQ(lean.find("\"buckets\""), std::string::npos);
-  EXPECT_EQ(lean.find("\"sum\""), std::string::npos);
+  EXPECT_NE(lean.find("\"obs_test/json_timer\":{\"count\":1}"),
+            std::string::npos);
+  EXPECT_EQ(lean.find("\"mean_us\""), std::string::npos);
   const std::string full = MetricsJson(snapshot, /*include_timing=*/true);
-  EXPECT_NE(full.find("\"buckets\""), std::string::npos);
-  EXPECT_NE(full.find("\"sum\""), std::string::npos);
+  EXPECT_NE(full.find("\"mean_us\""), std::string::npos);
+  EXPECT_NE(full.find("\"max_us\":500000.000"), std::string::npos);
 }
 
 // Metric names are written as JSON strings: a quote, a backslash or a
@@ -258,8 +279,7 @@ TEST(MetricsJsonTest, NamesAreEscaped) {
   auto& registry = MetricsRegistry::Instance();
   registry.GetCounter(name).Add(2);
   registry.GetGauge(name).Set(1.5);
-  registry.GetHistogram(name, {1.0}).Record(0.5);
-  timing::TimerRegistry::Instance().GetOrCreate(name);
+  timing::TimerRegistry::Instance().GetOrCreate(name).Record(0.5);
 
   support::JsonValue doc;
   std::string error;
@@ -268,7 +288,7 @@ TEST(MetricsJsonTest, NamesAreEscaped) {
       << error;
   const support::JsonValue* metrics = doc.Find("metrics");
   ASSERT_NE(metrics, nullptr);
-  for (const char* kind : {"counters", "gauges", "histograms", "timers"}) {
+  for (const char* kind : {"counters", "gauges", "timers"}) {
     const support::JsonValue* group = metrics->Find(kind);
     ASSERT_NE(group, nullptr) << kind;
     EXPECT_NE(group->Find(name), nullptr) << kind << " lost the name";
