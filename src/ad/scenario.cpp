@@ -159,14 +159,11 @@ void Scenario::RenderCameraFrameInto(const Pose& ego_pose,
   // Every pixel is overwritten below, so reshaping without clearing is safe.
   frame_out->Reshape(1, 3, kSize, kSize);
   nn::Tensor& frame = *frame_out;
-  // Road background with mild sensor noise.
-  for (int c = 0; c < 3; ++c) {
-    for (int y = 0; y < kSize; ++y) {
-      for (int x = 0; x < kSize; ++x) {
-        frame.At(0, c, y, x) =
-            20.0f + static_cast<float>(rng_.UniformDouble(0.0, 6.0));
-      }
-    }
+  // Road background with mild sensor noise, one draw per value in NCHW
+  // memory order (channel, row, column).
+  float* pixels = frame.data();
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    pixels[i] = 20.0f + static_cast<float>(rng_.UniformDouble(0.0, 6.0));
   }
   // Obstacles as bright axis-aligned rectangles (ego frame).
   for (const Obstacle& a : agents_) {

@@ -29,9 +29,12 @@ void Sgemm(const float* a, const float* b, float* c, GemmShape s) {
 
 namespace micro {
 
-// Defined in gemm_avx2.cpp (built with -mavx2); called only after dispatch.
+// Defined in gemm_avx2.cpp (built with -mavx2) and gemm_avx512vnni.cpp
+// (built with -mavx512vnni -mavx512vl); called only after dispatch.
 void GemmS16S32Avx2(const std::int16_t* a, const std::int16_t* b,
                     std::int32_t* c, GemmShape padded);
+void GemmS16S32Avx512Vnni(const std::int16_t* a, const std::int16_t* b,
+                          std::int32_t* c, GemmShape padded);
 
 namespace {
 
@@ -62,6 +65,9 @@ std::span<const GemmS16S32Variant> GemmS16S32Variants() {
   static const GemmS16S32Variant variants[] = {
       {"sse2", &GemmS16S32Sse2, true},
       {"avx2", &GemmS16S32Avx2, __builtin_cpu_supports("avx2") != 0},
+      {"avx512vnni", &GemmS16S32Avx512Vnni,
+       __builtin_cpu_supports("avx512vnni") != 0 &&
+           __builtin_cpu_supports("avx512vl") != 0},
   };
   return variants;
 }

@@ -141,24 +141,38 @@ constexpr int PadTo(int v, int multiple) {
   return (v + multiple - 1) / multiple * multiple;
 }
 
+// Offset of element (k, col) of the GEMM's B operand in its panel-major
+// layout [n_pad / kTileN][K / 2][kTileN][2]: B is cut into kTileN-column
+// panels, each panel is K-major, and the two K-values of a K-pair sit
+// interleaved per column. A panel row (one K-pair of one panel) is one
+// contiguous 64-byte run, so a panel streams through L1 without the set
+// conflicts a power-of-two row stride over the full padded width would
+// cause. `pairs` is K / 2 of the padded K.
+constexpr std::size_t PanelOffset(int k, int col, int pairs) {
+  return ((static_cast<std::size_t>(col / kTileN) * pairs + k / 2) * kTileN +
+          col % kTileN) *
+             2 +
+         k % 2;
+}
+
 // Outer-product int16 GEMM, C[M,N] = A·B with int32 accumulation, over
 // packed operands (int8 values widened to int16, so every product is exact):
 //  * a: [M][K] row-major, so each adjacent K-pair is one int32 lane;
-//  * b: [K/2][N][2] — K-major, the two K-values of a pair interleaved per
-//    column;
+//  * b: panel-major, element (k, n) at PanelOffset(k, n, K / 2);
 //  * c: [M][N] row-major.
 // Per K-pair, the kernel broadcasts one weight pair per tile row and issues
 // one PMADDWD per vector of B: a0·b0 + a1·b1 lands in each int32 lane, so a
 // kTileM × kTileN tile of accumulators stays in registers across all of K
-// with no horizontal sums. `padded` holds the padded extents. Integer accumulation
-// is exact, so the result equals a scalar int32 triple loop.
+// with no horizontal sums. `padded` holds the padded extents. Integer
+// accumulation is exact, so the result equals a scalar int32 triple loop.
 void GemmS16S32(const std::int16_t* a, const std::int16_t* b,
                 std::int32_t* c, GemmShape padded);
 
-// The one kernel body is compiled once per ISA: SSE2 (the x86-64 baseline)
-// and AVX2. GemmS16S32 runs the widest one the CPU supports, picked once by
-// a CPUID check; tests and benches reach each instantiation through this
-// table. x86-64 is the only target.
+// The one kernel body is compiled once per ISA: SSE2 (the x86-64 baseline),
+// AVX2, and AVX-512 VNNI (VPDPWSSD on ymm registers, which needs AVX512VL).
+// GemmS16S32 runs the widest one the CPU supports, picked once by a CPUID
+// check; tests and benches reach each instantiation through this table.
+// x86-64 is the only target.
 using GemmS16S32Fn = void (*)(const std::int16_t*, const std::int16_t*,
                               std::int32_t*, GemmShape);
 struct GemmS16S32Variant {

@@ -1,11 +1,15 @@
 // The body of micro::GemmS16S32, written once and compiled once per ISA:
-// gemm.cpp instantiates it for SSE2 (the x86-64 baseline) and gemm_avx2.cpp,
-// built with -mavx2, for AVX2. Private to those two translation units.
+// gemm.cpp instantiates it for SSE2 (the x86-64 baseline), gemm_avx2.cpp,
+// built with -mavx2, for AVX2, and gemm_avx512vnni.cpp, built with
+// -mavx512vnni -mavx512vl, for AVX-512 VNNI. Private to those three
+// translation units.
 //
 // Everything here has internal linkage. An inline or template function with
-// external linkage would be emitted by both units, and the linker could then
-// hand the AVX2 copy to a baseline caller on a CPU without AVX2 (the same
-// hazard gemm.h notes for the 64×64 fp32 tile).
+// external linkage would be emitted by every unit, and the linker could then
+// hand an AVX2 or AVX-512 copy to a baseline caller on a CPU without that
+// ISA (the same hazard gemm.h notes for the 64×64 fp32 tile). The
+// `isa_unit_exports` test checks each ISA unit's object exports only its
+// entry point.
 #ifndef KERNELS_GEMM_S16_BODY_H_
 #define KERNELS_GEMM_S16_BODY_H_
 
@@ -19,22 +23,22 @@ namespace {
 
 // V is the ISA's vector traits: Reg, kLanes (int32 lanes per Reg), Zero,
 // Load/Store (unaligned), Broadcast (one int32 to every lane) and MaddAdd
-// (acc + PMADDWD(a, b)).
+// (acc + PMADDWD(a, b)). B is panel-major (PanelOffset in gemm.h).
 template <class V>
 void GemmS16S32Body(const std::int16_t* a, const std::int16_t* b,
                     std::int32_t* c, int m, int n, int k) {
   using Reg = typename V::Reg;
   // Two vectors per tile row: a kTileM × 2 block of accumulators, two B
   // vectors and one broadcast fit the 16 architectural registers of both
-  // ISAs. SSE2 covers a kTileN-column strip in two passes.
+  // ISAs. SSE2 covers a kTileN-column panel in two passes.
   constexpr int kVecs = 2;
   constexpr int kCols = kVecs * V::kLanes;
   static_assert(kTileN % kCols == 0);
   const int pairs = k / 2;
-  // Column strips outermost: a strip of B (pairs × kCols) stays in L1 while
-  // every row tile of A sweeps it.
+  // Column strips outermost: a strip of B (pairs × kCols, contiguous rows
+  // of one panel) stays in L1 while every row tile of A sweeps it.
   for (int j0 = 0; j0 < n; j0 += kCols) {
-    const std::int16_t* bstrip = b + 2 * static_cast<std::size_t>(j0);
+    const std::int16_t* bstrip = b + PanelOffset(0, j0, pairs);
     for (int i0 = 0; i0 < m; i0 += kTileM) {
       const std::int16_t* arows = a + static_cast<std::size_t>(i0) * k;
       Reg acc[kTileM][kVecs];
@@ -43,7 +47,7 @@ void GemmS16S32Body(const std::int16_t* a, const std::int16_t* b,
       }
       for (int p = 0; p < pairs; ++p) {
         const std::int16_t* brow =
-            bstrip + 2 * static_cast<std::size_t>(p) * n;
+            bstrip + 2 * static_cast<std::size_t>(p) * kTileN;
         Reg bv[kVecs];
         for (int v = 0; v < kVecs; ++v) {
           bv[v] = V::Load(brow + 2 * v * V::kLanes);

@@ -15,11 +15,12 @@
 //
 // Layout note: quantized values are stored widened to int16. The weight
 // snapshot is [M][K] padded to the GEMM's row tile and to even K; the patch
-// matrix is written K-major with each K-pair interleaved per output pixel,
-// [K/2][N][2] with N padded to the column tile, so one PMADDWD per vector
-// folds a K-pair into a register tile of int32 accumulators. See
-// kernels::micro::GemmS16S32. The activations are quantized eight per SSE2
-// step (nn::QuantizeToGrid in nn/int8_grid.h).
+// matrix is written panel-major, [N/kTileN][K/2][kTileN][2] with N padded to
+// the column tile and each K-pair interleaved per output pixel, so one
+// PMADDWD per vector folds a K-pair into a register tile of int32
+// accumulators and each kTileN-column panel is one contiguous run. See
+// kernels::micro::GemmS16S32 and PanelOffset. The activations are quantized
+// eight per SSE2 step (nn::QuantizeToGrid in nn/int8_grid.h).
 #include <emmintrin.h>
 
 #include <algorithm>
@@ -40,7 +41,7 @@ namespace {
 struct QuantScratch {
   std::vector<std::int16_t> padded;   // quantized input, zero-padded planes
   std::vector<std::int16_t> zeros;    // zero row for the odd-K padding tap
-  std::vector<std::int16_t> patches;  // patch matrix [K/2][N][2]
+  std::vector<std::int16_t> patches;  // patch matrix, panel-major
   std::vector<std::int32_t> acc;      // GEMM accumulators [M][N]
 };
 
@@ -126,14 +127,18 @@ void Interleave(const std::int16_t* s0, const std::int16_t* s1, int stride,
   }
 }
 
-// Writes the patch matrix [K/2][n_pad][2] from the padded planes: row p
-// holds, for every output pixel, the K-values 2p and 2p + 1 interleaved
-// (K index r = (ci, kh, kw)). Tap r reads its plane from row kh, column kw
-// on, so an output row is two strided runs of the padded planes and needs
-// no bounds test. The K-padding tap of an odd K reads the zero row, and the
-// padding columns [n, n_pad) are zero.
+// Writes the patch matrix from the padded planes, panel-major as the GEMM
+// reads it (kernels::micro::PanelOffset): for every K-pair p and output
+// pixel j, the K-values 2p and 2p + 1 interleaved (K index r = (ci, kh,
+// kw)). Tap r reads its plane from row kh, column kw on, so an output row is
+// two strided runs of the padded planes and needs no bounds test; a row is
+// cut where it crosses into the next kTileN-pixel panel. The K-padding tap
+// of an odd K reads the zero row, and the padding columns [n, n_pad) of the
+// last panel are zero.
 void PackPatches(const std::int16_t* padded, const PatchGeom& g,
                  const std::int16_t* zeros, std::int16_t* patches) {
+  using kernels::micro::kTileN;
+  using kernels::micro::PanelOffset;
   const std::size_t plane =
       static_cast<std::size_t>(g.padded_h) * g.padded_w;
   const int kk2 = g.kernel * g.kernel;
@@ -145,20 +150,29 @@ void PackPatches(const std::int16_t* padded, const PatchGeom& g,
   };
   const std::size_t row_step =
       static_cast<std::size_t>(g.stride) * g.padded_w;
-  for (int p = 0; p < (g.k + 1) / 2; ++p) {
-    std::int16_t* dst = patches + 2 * static_cast<std::size_t>(p) * g.n_pad;
+  const int pairs = (g.k + 1) / 2;
+  for (int p = 0; p < pairs; ++p) {
+    int j = 0;  // output pixel index, batch-major
     for (int b = 0; b < g.batch; ++b) {
       const std::int16_t* image = padded + b * g.in_c * plane;
       const std::int16_t* s0 = origin(image, 2 * p);
       const std::int16_t* s1 = origin(image, 2 * p + 1);
       for (int oh = 0; oh < g.out_h; ++oh) {
-        Interleave(s0 + oh * row_step, s1 ? s1 + oh * row_step : zeros,
-                   g.stride, g.out_w, dst);
-        dst += 2 * g.out_w;
+        for (int ow = 0; ow < g.out_w;) {
+          const int run = std::min(g.out_w - ow, kTileN - j % kTileN);
+          const std::size_t at = oh * row_step +
+                                 static_cast<std::size_t>(ow) * g.stride;
+          Interleave(s0 + at, s1 ? s1 + at : zeros, g.stride, run,
+                     patches + PanelOffset(2 * p, j, pairs));
+          ow += run;
+          j += run;
+        }
       }
     }
-    std::fill(dst, patches + 2 * (static_cast<std::size_t>(p) + 1) * g.n_pad,
-              0);
+    if (g.n < g.n_pad) {
+      std::int16_t* tail = patches + PanelOffset(2 * p, g.n, pairs);
+      std::fill(tail, tail + 2 * (g.n_pad - g.n), 0);
+    }
   }
 }
 

@@ -5,27 +5,9 @@
 
 namespace certkit::support {
 
-namespace {
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.Next();
-}
-
-std::uint64_t Xoshiro256::Next() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 std::int64_t Xoshiro256::UniformInt(std::int64_t lo, std::int64_t hi) {
@@ -41,16 +23,6 @@ std::int64_t Xoshiro256::UniformInt(std::int64_t lo, std::int64_t hi) {
     x = Next();
   } while (x > limit);
   return lo + static_cast<std::int64_t>(x % range);
-}
-
-double Xoshiro256::UniformDouble() {
-  // 53 high-quality bits → [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256::UniformDouble(double lo, double hi) {
-  CERTKIT_CHECK(lo < hi);
-  return lo + (hi - lo) * UniformDouble();
 }
 
 double Xoshiro256::Gaussian() {

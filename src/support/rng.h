@@ -41,16 +41,33 @@ class Xoshiro256 {
   static constexpr result_type max() { return ~0ULL; }
 
   result_type operator()() { return Next(); }
-  std::uint64_t Next();
+  // Inline, with UniformDouble: per-pixel loops (the camera render draws
+  // one value per pixel) run at the generator's own speed.
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
 
-  // Uniform double in [0, 1).
-  double UniformDouble();
+  // Uniform double in [0, 1): the 53 high bits of Next().
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform double in [lo, hi); requires lo < hi.
-  double UniformDouble(double lo, double hi);
+  double UniformDouble(double lo, double hi) {
+    CERTKIT_CHECK(lo < hi);
+    return lo + (hi - lo) * UniformDouble();
+  }
 
   // Standard normal via Box–Muller (no cached spare: keeps state minimal).
   double Gaussian();
@@ -69,6 +86,10 @@ class Xoshiro256 {
   void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; }
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

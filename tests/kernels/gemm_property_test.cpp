@@ -106,8 +106,9 @@ std::vector<std::int32_t> ReferenceS32(const std::vector<std::int16_t>& a,
 }
 
 // Runs one instantiation of the int8 kernel on unpacked operands: packs A to
-// [Mp][Kp] and B to [Kp/2][Np][2] with zero padding, multiplies, and crops C
-// back to [M][N].
+// [Mp][Kp] and B into panels (micro::PanelOffset) with zero padding,
+// multiplies, and crops C back to [M][N]. The padding columns [N, Np) of C
+// must come out zero, since the padding of B is.
 std::vector<std::int32_t> RunS16S32(micro::GemmS16S32Fn gemm,
                                     const std::vector<std::int16_t>& a,
                                     const std::vector<std::int16_t>& b,
@@ -125,7 +126,7 @@ std::vector<std::int32_t> RunS16S32(micro::GemmS16S32Fn gemm,
   }
   for (int kk = 0; kk < s.k; ++kk) {
     for (int j = 0; j < s.n; ++j) {
-      pb[(static_cast<std::size_t>(kk / 2) * np + j) * 2 + kk % 2] =
+      pb[micro::PanelOffset(kk, j, kp / 2)] =
           b[static_cast<std::size_t>(kk) * s.n + j];
     }
   }
@@ -136,6 +137,10 @@ std::vector<std::int32_t> RunS16S32(micro::GemmS16S32Fn gemm,
     for (int j = 0; j < s.n; ++j) {
       c[static_cast<std::size_t>(i) * s.n + j] =
           pc[static_cast<std::size_t>(i) * np + j];
+    }
+    for (int j = s.n; j < np; ++j) {
+      EXPECT_EQ(pc[static_cast<std::size_t>(i) * np + j], 0)
+          << "padding column " << j << " of row " << i;
     }
   }
   return c;
@@ -165,6 +170,26 @@ void ExpectExactOnSmallShapes(micro::GemmS16S32Fn gemm, const char* what) {
       }
     }
   }
+}
+
+// The panel layout covers the padded B buffer exactly once, and one K-pair
+// of one panel is a contiguous run of kTileN interleaved pairs.
+TEST(Int8PanelLayout, OffsetsTileThePaddedBuffer) {
+  constexpr int kPairs = 5, kCols = 3 * micro::kTileN;
+  std::vector<int> hits(2 * kPairs * kCols, 0);
+  for (int kk = 0; kk < 2 * kPairs; ++kk) {
+    for (int j = 0; j < kCols; ++j) {
+      const std::size_t at = micro::PanelOffset(kk, j, kPairs);
+      ASSERT_LT(at, hits.size());
+      ++hits[at];
+      if (j % micro::kTileN != 0) {
+        EXPECT_EQ(at, micro::PanelOffset(kk, j - 1, kPairs) + 2);
+      }
+    }
+  }
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  static_assert(micro::PanelOffset(1, micro::kTileN, 2) ==
+                2 * 2 * micro::kTileN + 1);
 }
 
 // The dispatched entry point the quantized conv calls.

@@ -207,6 +207,12 @@ TEST(QuantizeContainment, Int8ConvMatchesScalarReferenceOnAnyGeometry) {
       {3, 5, 3, 1, 1, 0, 7, 9},    // 1×1 kernel, odd K = 5
       {1, 2, 9, 3, 3, 0, 17, 19},  // stride 3, no padding
       {1, 1, 1, 2, 1, 1, 5, 6},    // even kernel, asymmetric reach
+      // The patch matrix is cut into 16-pixel panels; these panels span
+      // output rows and images, and the last one is partly N-padding.
+      {1, 3, 4, 3, 1, 1, 7, 10},   // out_w 10: n = 70, a 10-column tail
+      {1, 32, 32, 3, 1, 1, 8, 8},  // the detector's 8×8 conv3, K = 288
+      {3, 2, 5, 3, 1, 1, 5, 6},    // batch 3: n = 90, panels span images
+      {3, 32, 32, 3, 1, 1, 8, 8},  // conv3 shape at batch 3
   };
   std::uint64_t seed = 77;
   for (const Geometry& g : kCases) {
@@ -234,6 +240,49 @@ TEST(QuantizeContainment, Int8ConvMatchesScalarReferenceOnAnyGeometry) {
               0)
         << "batch " << g.batch << " in_c " << g.in_c << " out_c " << g.out_c
         << " k " << g.k << " stride " << g.stride << " pad " << g.pad;
+  }
+}
+
+// The activation scan is a max reduction the compiler vectorizes, with a
+// scalar epilogue; a 75-value input has both parts. The max |x| (either
+// sign) and a non-finite value must be found at every position: the first
+// sets the scale the reference reproduces, the second forces the fp32
+// fallback.
+TEST(QuantizeContainment, ActivationScanSeesEveryPosition) {
+  const int in_c = 3, out_c = 4, k = 3;
+  std::vector<float> weights(static_cast<std::size_t>(out_c) * in_c * k * k);
+  certkit::support::Xoshiro256 rng(0x5CA4u);
+  for (float& w : weights) w = static_cast<float>(rng.UniformDouble(-1, 1));
+  const std::vector<float> bias(static_cast<std::size_t>(out_c), 0.25f);
+  nn::ConvLayer fp32(in_c, out_c, k, 1, 1, weights, bias,
+                     nn::Backend::kCpuNaive);
+  nn::ConvLayer quant(in_c, out_c, k, 1, 1, weights, bias,
+                      nn::Backend::kCpuNaive);
+  quant.SetInputQuantization(true);
+
+  const nn::Tensor base = MakeInput(in_c, 5, 5, 9u);
+  nn::Tensor got, want;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (const float peak : {40.0f, -40.0f}) {
+      nn::Tensor input = base;
+      input.data()[i] = peak;
+      quant.ForwardInto(input, &got);
+      want = ReferenceInt8Conv(input, weights, bias, out_c, k, 1, 1);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << "max |x| = " << peak << " at index " << i;
+    }
+    for (const float poison : {kNan, -kNan, kInf, -kInf}) {
+      nn::Tensor input = base;
+      input.data()[i] = poison;
+      quant.ForwardInto(input, &got);
+      fp32.ForwardInto(input, &want);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << "no fp32 fallback for " << poison << " at index " << i;
+    }
   }
 }
 

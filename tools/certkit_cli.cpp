@@ -15,20 +15,29 @@
 //   certkit dump [--out F] [--ticks N]     instrumented pilot drive, then an
 //                                          explicit flight-recorder dump
 //
-// All commands accept --jobs N to set the worker count (default: hardware
-// concurrency). Output is bit-identical for every N — analysis merges
+// The analysis commands, campaign, merge-corpus, serve and trace accept
+// --jobs N to set the worker count (default: hardware concurrency; trace
+// defaults to 1). Output is bit-identical for every N — analysis merges
 // per-file artifacts in stable path order, and the campaign merges
 // candidate results in stable seed order. `trace` extends the contract to
 // its exports: span timestamps are logical sequence numbers, so the trace
 // and metrics files are byte-identical for any --jobs at a fixed --seed
 // (wall-clock fields appear only under --timing).
 //
-// Exit status: 0 on success; 1 on usage/input errors; for `assess`, 2 when
-// the codebase does not meet the target ASIL (CI-friendly); for `replay`,
-// 2 when the re-execution or the differential oracle diverges.
+// Every command names the flags it reads; any other flag is an error
+// (exit 2) rather than a typo that silently runs with defaults.
+//
+// Exit status: 0 on success; 1 on usage/input errors; 2 on an unknown flag;
+// for `assess`, 2 when the codebase does not meet the target ASIL
+// (CI-friendly); for `replay`, 2 when the re-execution or the differential
+// oracle diverges.
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ad/pipeline.h"
 #include "campaign/checkpoint.h"
@@ -791,24 +800,76 @@ int CmdDump(const FlagParser& flags) {
   return 0;
 }
 
+// A command and every flag it reads.
+struct Command {
+  std::string_view name;
+  int (*run)(const FlagParser&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  using Names = std::vector<std::string_view>;
+  const auto plus = [](Names names,
+                       std::initializer_list<std::string_view> more) {
+    names.insert(names.end(), more);
+    return names;
+  };
+  // Load() reads these for every analysis command.
+  const Names analysis = {"jobs", "cache-dir", "no-cache", "cache-stats",
+                          "cache-gc"};
+  // campaign::BuildCampaignConfig reads these.
+  const Names campaign = {"seed", "jobs", "population", "generations",
+                          "ticks", "stop-after", "timing", "shard",
+                          "artifact-dir", "checkpoint-dir"};
+  static const std::vector<Command> commands = {
+      {"campaign", CmdCampaign, plus(campaign, {"flight-dump"})},
+      {"merge-corpus", CmdMergeCorpus, campaign},
+      {"serve", CmdServe,
+       {"requests", "stdin", "jobs", "timing", "flight-dump"}},
+      {"replay", CmdReplay, {"diff", "minimize", "out"}},
+      {"metrics", CmdMetrics, plus(analysis, {"csv"})},
+      {"functions", CmdFunctions, analysis},
+      {"misra", CmdMisra, plus(analysis, {"max"})},
+      {"style", CmdStyle, plus(analysis, {"max"})},
+      {"assess", CmdAssess, plus(analysis, {"asil"})},
+      {"traceability", CmdTraceability, analysis},
+      {"trace", CmdObsTrace,
+       {"seed", "jobs", "ticks", "population", "generations", "timing",
+        "trace-out", "metrics-out"}},
+      {"dump", CmdDump, {"ticks", "timing", "out"}},
+  };
+  return commands;
+}
+
+// Runs `command` unless its command line carries a flag it does not read.
+int Run(const Command& command, const FlagParser& flags) {
+  for (const std::string& name : flags.FlagNames()) {
+    if (std::find(command.flags.begin(), command.flags.end(), name) !=
+        command.flags.end()) {
+      continue;
+    }
+    std::string accepted;
+    for (const std::string_view flag : command.flags) {
+      accepted += accepted.empty() ? "--" : " --";
+      accepted += flag;
+    }
+    std::printf("error: unknown flag --%s for '%s' (accepted: %s)\n",
+                name.c_str(), std::string(command.name).c_str(),
+                accepted.c_str());
+    return 2;
+  }
+  return command.run(flags);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.positional().empty()) return Usage();
-  const std::string command = flags.positional()[0];
-  if (command == "campaign") return CmdCampaign(flags);
-  if (command == "merge-corpus") return CmdMergeCorpus(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "replay") return CmdReplay(flags);
-  if (command == "metrics") return CmdMetrics(flags);
-  if (command == "functions") return CmdFunctions(flags);
-  if (command == "misra") return CmdMisra(flags);
-  if (command == "style") return CmdStyle(flags);
-  if (command == "assess") return CmdAssess(flags);
-  if (command == "traceability") return CmdTraceability(flags);
-  if (command == "trace") return CmdObsTrace(flags);
-  if (command == "dump") return CmdDump(flags);
-  std::printf("unknown command '%s'\n", command.c_str());
+  const std::string name = flags.positional()[0];
+  for (const Command& command : Commands()) {
+    if (command.name == name) return Run(command, flags);
+  }
+  std::printf("unknown command '%s'\n", name.c_str());
   return Usage();
 }
