@@ -42,6 +42,7 @@ struct QuantScratch {
   std::vector<std::int16_t> padded;   // quantized input, zero-padded planes
   std::vector<std::int16_t> zeros;    // zero row for the odd-K padding tap
   std::vector<std::int16_t> patches;  // patch matrix, panel-major
+  std::vector<std::size_t> taps;      // plane offset of each K tap
   std::vector<std::int32_t> acc;      // GEMM accumulators [M][N]
 };
 
@@ -128,50 +129,50 @@ void Interleave(const std::int16_t* s0, const std::int16_t* s1, int stride,
 }
 
 // Writes the patch matrix from the padded planes, panel-major as the GEMM
-// reads it (kernels::micro::PanelOffset): for every K-pair p and output
-// pixel j, the K-values 2p and 2p + 1 interleaved (K index r = (ci, kh,
-// kw)). Tap r reads its plane from row kh, column kw on, so an output row is
-// two strided runs of the padded planes and needs no bounds test; a row is
-// cut where it crosses into the next kTileN-pixel panel. The K-padding tap
-// of an odd K reads the zero row, and the padding columns [n, n_pad) of the
-// last panel are zero.
+// reads it (kernels::micro::PanelOffset), one kTileN-pixel panel at a time
+// so the stores run sequentially: for every K-pair p and output pixel j,
+// the K-values 2p and 2p + 1 interleaved (K index r = (ci, kh, kw)). Tap r
+// reads its plane from row kh, column kw on (`taps`, k entries of scratch,
+// receives those offsets), so a panel is one or more row segments, each two
+// strided runs of the padded planes per K-pair, with no bounds test. The
+// K-padding tap of an odd K reads the zero row, and the padding columns
+// [n, n_pad) of the last panel are zero.
 void PackPatches(const std::int16_t* padded, const PatchGeom& g,
-                 const std::int16_t* zeros, std::int16_t* patches) {
+                 const std::int16_t* zeros, std::size_t* taps,
+                 std::int16_t* patches) {
   using kernels::micro::kTileN;
   using kernels::micro::PanelOffset;
   const std::size_t plane =
       static_cast<std::size_t>(g.padded_h) * g.padded_w;
   const int kk2 = g.kernel * g.kernel;
-  const auto origin = [&](const std::int16_t* image, int r) {
-    if (r >= g.k) return static_cast<const std::int16_t*>(nullptr);
-    const int kh = r % kk2 / g.kernel, kw = r % g.kernel;
-    return image + (r / kk2) * plane +
-           static_cast<std::size_t>(kh) * g.padded_w + kw;
-  };
+  for (int r = 0; r < g.k; ++r) {
+    taps[r] = (r / kk2) * plane +
+              static_cast<std::size_t>(r % kk2 / g.kernel) * g.padded_w +
+              r % g.kernel;
+  }
   const std::size_t row_step =
       static_cast<std::size_t>(g.stride) * g.padded_w;
   const int pairs = (g.k + 1) / 2;
-  for (int p = 0; p < pairs; ++p) {
-    int j = 0;  // output pixel index, batch-major
-    for (int b = 0; b < g.batch; ++b) {
-      const std::int16_t* image = padded + b * g.in_c * plane;
-      const std::int16_t* s0 = origin(image, 2 * p);
-      const std::int16_t* s1 = origin(image, 2 * p + 1);
-      for (int oh = 0; oh < g.out_h; ++oh) {
-        for (int ow = 0; ow < g.out_w;) {
-          const int run = std::min(g.out_w - ow, kTileN - j % kTileN);
-          const std::size_t at = oh * row_step +
-                                 static_cast<std::size_t>(ow) * g.stride;
-          Interleave(s0 + at, s1 ? s1 + at : zeros, g.stride, run,
-                     patches + PanelOffset(2 * p, j, pairs));
-          ow += run;
-          j += run;
-        }
+  const int hw = g.out_h * g.out_w;
+  for (int j0 = 0; j0 < g.n; j0 += kTileN) {
+    std::int16_t* panel = patches + PanelOffset(0, j0, pairs);
+    const int end = std::min(j0 + kTileN, g.n);
+    for (int j = j0; j < end;) {  // one segment per output row touched
+      const int b = j / hw, oh = j % hw / g.out_w, ow = j % g.out_w;
+      const int run = std::min(g.out_w - ow, end - j);
+      const std::int16_t* at = padded + b * g.in_c * plane + oh * row_step +
+                               static_cast<std::size_t>(ow) * g.stride;
+      std::int16_t* dst = panel + 2 * (j - j0);
+      for (int p = 0; p < pairs; ++p) {
+        const int r1 = 2 * p + 1;
+        Interleave(at + taps[2 * p], r1 < g.k ? at + taps[r1] : zeros,
+                   g.stride, run, dst + 2 * p * kTileN);
       }
+      j += run;
     }
-    if (g.n < g.n_pad) {
-      std::int16_t* tail = patches + PanelOffset(2 * p, g.n, pairs);
-      std::fill(tail, tail + 2 * (g.n_pad - g.n), 0);
+    for (int p = 0; end - j0 < kTileN && p < pairs; ++p) {
+      std::fill(panel + 2 * (p * kTileN + end - j0),
+                panel + 2 * (p + 1) * kTileN, 0);
     }
   }
 }
@@ -250,13 +251,20 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   const std::size_t zeros_needed =
       static_cast<std::size_t>(g.out_w) * g.stride;
   if (s.zeros.size() < zeros_needed) s.zeros.resize(zeros_needed, 0);
-  s.patches.resize(static_cast<std::size_t>(k_pad) * g.n_pad);
-  PackPatches(s.padded.data(), g, s.zeros.data(), s.patches.data());
+  // A panel row (one K-pair of kTileN pixels) is 64 bytes; starting the
+  // matrix on a 64-byte boundary keeps each row in one cache line for the
+  // packer's stores and the kernel's loads.
+  s.patches.resize(static_cast<std::size_t>(k_pad) * g.n_pad + 32);
+  const std::uintptr_t misalign =
+      reinterpret_cast<std::uintptr_t>(s.patches.data()) % 64;
+  std::int16_t* patches =
+      s.patches.data() + (64 - misalign) % 64 / sizeof(std::int16_t);
+  s.taps.resize(static_cast<std::size_t>(g.k));
+  PackPatches(s.padded.data(), g, s.zeros.data(), s.taps.data(), patches);
 
   // Register-tiled integer GEMM: C[M,N] = W[M,K] · patches in int32.
   s.acc.resize(static_cast<std::size_t>(m_pad) * g.n_pad);
-  kernels::micro::GemmS16S32(q_weights_.data(), s.patches.data(),
-                             s.acc.data(),
+  kernels::micro::GemmS16S32(q_weights_.data(), patches, s.acc.data(),
                              kernels::GemmShape{m_pad, g.n_pad, k_pad});
 
   // Dequantize with the combined scale and add bias, un-interleaving the
