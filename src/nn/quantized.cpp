@@ -254,11 +254,13 @@ bool ConvLayer::QuantizedForwardInto(const Tensor& input, Tensor* out) const {
   // A panel row (one K-pair of kTileN pixels) is 64 bytes; starting the
   // matrix on a 64-byte boundary keeps each row in one cache line for the
   // packer's stores and the kernel's loads.
-  s.patches.resize(static_cast<std::size_t>(k_pad) * g.n_pad + 32);
+  constexpr std::size_t kLine = 64;
+  s.patches.resize(static_cast<std::size_t>(k_pad) * g.n_pad +
+                   kLine / sizeof(std::int16_t));
   const std::uintptr_t misalign =
-      reinterpret_cast<std::uintptr_t>(s.patches.data()) % 64;
+      reinterpret_cast<std::uintptr_t>(s.patches.data()) % kLine;
   std::int16_t* patches =
-      s.patches.data() + (64 - misalign) % 64 / sizeof(std::int16_t);
+      s.patches.data() + (kLine - misalign) % kLine / sizeof(std::int16_t);
   s.taps.resize(static_cast<std::size_t>(g.k));
   PackPatches(s.padded.data(), g, s.zeros.data(), s.taps.data(), patches);
 
